@@ -1,7 +1,8 @@
 """Content-addressed on-disk cache for command results.
 
 Keys hash the command name, its canonical parameters and a schema version;
-payloads are canonical JSON.  Writes go through a temporary file and an
+payloads are JSON in the order they were built, so a hit renders the same
+bytes as the miss that stored it.  Writes go through a temporary file and an
 atomic rename, so concurrent identical jobs race benignly: one writes,
 both read back identical bytes.  Corrupt entries are ignored with a
 warning and recomputed.
@@ -15,7 +16,9 @@ import os
 import sys
 import tempfile
 
-SCHEMA_VERSION = 1
+#: version 1 stored payloads with sorted keys, which reordered tsv columns
+#: and pretty keys on a hit; those entries must never be served
+SCHEMA_VERSION = 2
 
 ENV_VAR = "PARTHOM_CACHE_DIR"
 
@@ -68,7 +71,7 @@ def store(cache_dir: str | None, command: str, params: dict, payload) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            json.dump(payload, fh, indent=2)
         os.replace(tmp, path)
     except OSError:
         try:

@@ -229,6 +229,9 @@ def _result_check(args) -> dict:
         verdict = _method_agreement(args.max_n)
     else:
         verdict = conjecture_checks(args.suite, args.max_n)
+    if not verdict.assertions:
+        # a suite that checks nothing must not report a pass
+        raise ValueError(f"suite {args.suite!r} checks nothing at --max-n {args.max_n}")
     return verdict.to_json_dict()
 
 

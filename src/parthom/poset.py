@@ -17,8 +17,16 @@ bounds) of one of the named families, grouped by rank:
 
 Elements are generated rank by rank with the predicate applied during
 generation, so only the selected ranks are ever materialized.  Views are
-immutable once built; chain enumeration and fixed-point counting are pure
-functions of a view.
+immutable once built.
+
+The order relation is never stored.  The partitions above x are exactly
+those obtained by merging blocks of x, so :meth:`PosetView.above` lists
+them by grouping the blocks of x (one restricted-growth string per
+grouping) and looking each merge up in the view's index, which is keyed
+by the restricted-growth string every partition carries.  Every chain
+count -- maximal chains, fixed maximal chains, Moebius numbers and
+Lefschetz values -- is the one dynamic program :func:`chain_sums`, which
+visits the kept elements in rank order and pushes values up these edges.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from functools import lru_cache
 
 from .errors import FeasibilityError
 from .partitions import check_partition
-from .setparts import SetPartition, act, canonical_permutation, set_partitions
+from .setparts import SetPartition, act, canonical_permutation, restricted_growth, set_partitions
 
 #: largest ground set for which views will materialize elements
 MAX_GROUND = 10
@@ -79,7 +87,7 @@ class PosetView:
         object.__setattr__(self, "_by_rank", by_rank)
         flat = tuple(x for r in sorted(by_rank) for x in by_rank[r])
         object.__setattr__(self, "_elements", flat)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(flat)})
+        object.__setattr__(self, "_index", {x.block_of: i for i, x in enumerate(flat)})
 
     def __setattr__(self, name, value):
         raise AttributeError("PosetView is immutable")
@@ -103,7 +111,7 @@ class PosetView:
         return len(self._elements)
 
     def __contains__(self, x: SetPartition):
-        return x in self._index
+        return x.block_of in self._index
 
     def describe(self) -> str:
         return f"{self.spec},n={self.n}"
@@ -113,6 +121,50 @@ class PosetView:
         return f"PosetView({self.describe()}, rank sizes {sizes})"
 
     # -- order structure --------------------------------------------------------
+
+    def above(self, i: int, ranks=None) -> list[int]:
+        """Indices of the view elements above element *i* at the given ranks
+        (default: every higher rank of the view), in increasing order.  Each
+        grouping of its k blocks into n - r groups is one merge at rank r."""
+        x = self._elements[i]
+        if ranks is None:
+            ranks = [r for r in self._by_rank if r > x.rank]
+        # the index is keyed by restricted-growth strings (block_of); merging
+        # block b into group g[b] turns the string of x into g[block_of[e]]
+        index, growth = self._index, x.block_of
+        out = []
+        for r in ranks:
+            for grouping in _groupings(len(x.blocks), self.n - r):
+                j = index.get(tuple(map(grouping.__getitem__, growth)))
+                if j is not None:
+                    out.append(j)
+        out.sort()
+        return out
+
+    def _covers(self, i: int) -> list[int]:
+        """Indices of the elements covering element *i* inside the view."""
+        if self.rank_selected:
+            # intervals of the lattice are graded and the view keeps whole
+            # ranks, so every cover sits at the next selected rank
+            r = self._elements[i].rank
+            return self.above(i, [s for s in self._by_rank if s > r][:1])
+        # comparabilities minus those implied through a third element; in
+        # increasing (rank) order each element is seen after all below it
+        covers, implied = [], set()
+        for j in self.above(i):
+            if j not in implied:
+                covers.append(j)
+                implied.update(self.above(j))
+        return covers
+
+    def _minimal(self) -> set[int]:
+        """Indices of the minimal elements of the view."""
+        if self.rank_selected and self._elements:
+            return set(range(len(self._by_rank[self.ranks[0]])))
+        above_some = set()
+        for i in range(len(self._elements)):
+            above_some.update(self.above(i))
+        return set(range(len(self._elements))) - above_some
 
     def fixed_by(self, perm) -> dict[int, tuple[SetPartition, ...]]:
         """Elements fixed (as partitions) by the permutation, by rank."""
@@ -125,117 +177,95 @@ class PosetView:
 
     def covers(self) -> dict[SetPartition, tuple[SetPartition, ...]]:
         """Upward covers inside the view (no view element strictly between)."""
-        ranks = self.ranks
-        covers: dict[SetPartition, list[SetPartition]] = {x: [] for x in self._elements}
-        for i, r in enumerate(ranks):
-            for x in self._by_rank[r]:
-                for r2 in ranks[i + 1 :]:
-                    for y in self._by_rank[r2]:
-                        if not x.refines(y):
-                            continue
-                        between = False
-                        for rm in ranks:
-                            if not r < rm < r2:
-                                continue
-                            for z in self._by_rank[rm]:
-                                if x.refines(z) and z.refines(y):
-                                    between = True
-                                    break
-                            if between:
-                                break
-                        if not between:
-                            covers[x].append(y)
-        return {x: tuple(v) for x, v in covers.items()}
+        elems = self._elements
+        return {x: tuple(elems[j] for j in self._covers(i)) for i, x in enumerate(elems)}
 
     def minimal_elements(self) -> tuple[SetPartition, ...]:
-        out = []
-        for x in self._elements:
-            if not any(y.refines(x) for y in self._elements if y is not x and y.rank < x.rank):
-                out.append(x)
-        return tuple(out)
+        return tuple(self._elements[i] for i in sorted(self._minimal()))
 
     def maximal_elements(self) -> tuple[SetPartition, ...]:
-        out = []
-        for x in self._elements:
-            if not any(x.refines(y) for y in self._elements if y is not x and y.rank > x.rank):
-                out.append(x)
-        return tuple(out)
+        return tuple(x for i, x in enumerate(self._elements) if not self.above(i))
 
     # -- chains -----------------------------------------------------------------
 
     def maximal_chains(self) -> list[tuple[SetPartition, ...]]:
-        """All maximal chains of the view; the empty view has one empty chain."""
+        """All maximal chains of the view; the empty view has one empty chain.
+        Refused, after counting them, when there are more than MAX_CHAINS."""
+        if self.count_maximal_chains() > MAX_CHAINS:
+            raise FeasibilityError(f"too many maximal chains in {self.describe()}")
         if not self._elements:
             return [()]
-        if self.rank_selected:
-            return self._maximal_chains_rank_selected()
-        return self._maximal_chains_general()
-
-    def _maximal_chains_rank_selected(self):
-        ranks = self.ranks
-        layers = [self._by_rank[r] for r in ranks]
-        estimate = 1
-        for layer in layers:
-            estimate *= len(layer)
-        # layer-size product is a cheap upper bound; count exactly only when
-        # that bound already trips the cap
-        if estimate > MAX_CHAINS and self.count_maximal_chains() > MAX_CHAINS:
-            raise FeasibilityError(f"too many maximal chains in {self.describe()}")
+        covers = [self._covers(i) for i in range(len(self._elements))]
         chains: list[tuple[SetPartition, ...]] = []
 
-        def extend(prefix: list[SetPartition], depth: int):
-            if depth == len(layers):
-                chains.append(tuple(prefix))
-                return
-            last = prefix[-1] if prefix else None
-            for y in layers[depth]:
-                if last is None or last.refines(y):
-                    prefix.append(y)
-                    extend(prefix, depth + 1)
-                    prefix.pop()
-
-        extend([], 0)
-        return chains
-
-    def _maximal_chains_general(self):
-        covers = self.covers()
-        minimal = set(self.minimal_elements())
-        maximal = set(self.maximal_elements())
-        chains = []
-
-        def extend(prefix: list[SetPartition]):
-            x = prefix[-1]
-            if x in maximal:
-                chains.append(tuple(prefix))
-            for y in covers[x]:
-                prefix.append(y)
+        def extend(prefix: list[int]):
+            up = covers[prefix[-1]]
+            if not up:
+                chains.append(tuple(self._elements[i] for i in prefix))
+            for j in up:
+                prefix.append(j)
                 extend(prefix)
                 prefix.pop()
 
-        for x in self._elements:
-            if x in minimal:
-                extend([x])
+        for i in sorted(self._minimal()):
+            extend([i])
         return chains
 
     def count_maximal_chains(self) -> int:
-        """Number of maximal chains, by dynamic programming over ranks for
-        rank-selected views and over covers otherwise."""
-        if not self._elements:
-            return 1
-        if self.rank_selected:
-            ranks = self.ranks
-            counts = {x: 1 for x in self._by_rank[ranks[0]]}
-            for r in ranks[1:]:
-                nxt = {}
-                for y in self._by_rank[r]:
-                    total = sum(c for x, c in counts.items() if x.refines(y))
-                    if total:
-                        nxt[y] = total
-                if not nxt:
-                    return 0
-                counts = nxt
-            return sum(counts.values())
-        return len(self._maximal_chains_general())
+        """Number of maximal chains, by :func:`chain_sums` over cover edges."""
+        return chain_sums(self)
+
+
+@lru_cache(maxsize=None)
+def _groupings(k: int, groups: int) -> tuple[tuple[int, ...], ...]:
+    """Every grouping of k blocks into *groups* groups, numbered by their
+    first block, so that a merge's string is again restricted-growth."""
+    return tuple(restricted_growth(k, groups))
+
+
+def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
+    """The one dynamic program over chains of kept elements: the view
+    elements fixed by *perm* (default: all of them), visited in index order,
+    which is rank order.
+
+    With ``covers=True``: the number of maximal chains of the view made of
+    kept elements.  Values start at 1 on minimal elements, add up along
+    cover edges and are summed at elements with no cover.  With
+    ``covers=False``: the sum over chains of kept elements, the empty one
+    included, of (-1)^(length - 1), i.e. the reduced Euler characteristic
+    of their order complex.  Values start at 1 and subtract along all edges.
+    """
+    m = len(view)
+    if not m:
+        return 1 if covers else -1
+    if perm is None:
+        kept = bytearray(b"\1") * m
+    else:
+        kept = bytearray(m)
+        for elems in view.fixed_by(perm).values():
+            for x in elems:
+                kept[view._index[x.block_of]] = 1
+    starts = view._minimal() if covers else ()
+    pending = [0] * m
+    total = 0 if covers else -1
+    for i in range(m):
+        if not kept[i]:
+            continue
+        if covers:
+            value = pending[i] + (i in starts)
+            if not value:
+                continue
+            up = view._covers(i)
+            if not up:
+                total += value
+        else:
+            value = 1 - pending[i]
+            total += value
+            up = view.above(i)
+        for j in up:
+            if kept[j]:
+                pending[j] += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +389,10 @@ def parse_rank_set(text: str) -> tuple[int, ...]:
     for chunk in text.split(","):
         chunk = chunk.strip()
         if "-" in chunk:
-            lo, hi = chunk.split("-")
-            out.update(range(int(lo), int(hi) + 1))
+            lo, hi = (int(part) for part in chunk.split("-"))
+            if lo > hi:
+                raise ValueError(f"reversed rank range {chunk!r}")
+            out.update(range(lo, hi + 1))
         else:
             out.add(int(chunk))
     return tuple(sorted(out))
@@ -372,44 +404,4 @@ def parse_rank_set(text: str) -> tuple[int, ...]:
 def fixed_chain_count(view: PosetView, cycle_type) -> int:
     """Number of maximal chains of the view fixed pointwise by the canonical
     permutation of *cycle_type* (conjugacy makes the choice immaterial)."""
-    mu = check_partition(cycle_type)
-    perm = canonical_permutation(mu, view.n)
-    if not view.elements():
-        return 1
-    fixed = view.fixed_by(perm)
-    if view.rank_selected:
-        ranks = view.ranks
-        if any(r not in fixed for r in ranks):
-            return 0
-        counts = {x: 1 for x in fixed[ranks[0]]}
-        for r in ranks[1:]:
-            nxt = {}
-            for y in fixed[r]:
-                total = sum(c for x, c in counts.items() if x.refines(y))
-                if total:
-                    nxt[y] = total
-            if not nxt:
-                return 0
-            counts = nxt
-        return sum(counts.values())
-    # general views: count paths through view-covers restricted to fixed
-    # elements, from view-minimal to view-maximal ones
-    fixed_set = {x for elems in fixed.values() for x in elems}
-    if not fixed_set:
-        return 0
-    covers = view.covers()
-    minimal = set(view.minimal_elements()) & fixed_set
-    maximal = set(view.maximal_elements()) & fixed_set
-    memo: dict[SetPartition, int] = {}
-
-    def paths_from(x: SetPartition) -> int:
-        if x in memo:
-            return memo[x]
-        total = 1 if x in maximal else 0
-        for y in covers[x]:
-            if y in fixed_set:
-                total += paths_from(y)
-        memo[x] = total
-        return total
-
-    return sum(paths_from(x) for x in minimal)
+    return chain_sums(view, canonical_permutation(check_partition(cycle_type), view.n))

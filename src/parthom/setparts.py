@@ -83,23 +83,20 @@ class SetPartition:
         return cls(n, blocks)
 
 
-def set_partitions(n: int, k: int):
-    """Yield all partitions of {1..n} into exactly k blocks, in
-    restricted-growth-string order."""
+def restricted_growth(n: int, k: int):
+    """Yield, in lexicographic order, every restricted-growth string of
+    length n with k values: item i goes to group g[i], numbered by first item."""
     if k < 0 or k > n:
         return
     if n == 0:
-        yield SetPartition(0, [])
+        yield ()
         return
     assignment = [0] * n
 
     def rec(i: int, nblocks: int):
         if i == n:
             if nblocks == k:
-                blocks: list[list[int]] = [[] for _ in range(nblocks)]
-                for elem, b in enumerate(assignment, start=1):
-                    blocks[b].append(elem)
-                yield SetPartition(n, blocks)
+                yield tuple(assignment)
             return
         remaining = n - i - 1
         # join an existing block if enough elements remain to open the rest
@@ -112,6 +109,16 @@ def set_partitions(n: int, k: int):
             yield from rec(i + 1, nblocks + 1)
 
     yield from rec(0, 0)
+
+
+def set_partitions(n: int, k: int):
+    """Yield all partitions of {1..n} into exactly k blocks, in
+    restricted-growth-string order."""
+    for growth in restricted_growth(n, k):
+        blocks: list[list[int]] = [[] for _ in range(k)]
+        for elem, b in enumerate(growth, start=1):
+            blocks[b].append(elem)
+        yield SetPartition(n, blocks)
 
 
 def identity_perm(n: int) -> tuple[int, ...]:

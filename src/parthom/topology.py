@@ -10,7 +10,8 @@ betti_d = f_d - rank(bd_d) - rank(bd_{d+1}) and the torsion of H_d is the
 set of invariant factors of bd_{d+1} exceeding 1.  The reduced Euler
 characteristic of the complex equals the Moebius number of the view with
 its virtual bounds adjoined, and that identity is cross-checkable against
-an independent recursive Moebius computation.
+:func:`mobius_number`, which sums signed chains by the chain dynamic
+program without building the complex.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from .classfunc import ClassFunction
 from .errors import ConcentrationError, FeasibilityError
 from .partitions import partitions_of
-from .poset import PosetView
+from .poset import PosetView, chain_sums
 from .setparts import canonical_permutation
 from .snf import SparseIntMatrix, invariant_factors
 
@@ -74,15 +75,7 @@ class ChainComplexZ:
 
 def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
     """All chains of the view as an augmented simplicial complex."""
-    elements = view.elements()
-    m = len(elements)
-    succ: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        xi = elements[i]
-        for j in range(i + 1, m):
-            if elements[j].rank > xi.rank and xi.refines(elements[j]):
-                succ[i].append(j)
-
+    succ = [view.above(i) for i in range(len(view))]
     by_dim: list[list[tuple[int, ...]]] = []
 
     def record(chain: tuple[int, ...]) -> None:
@@ -92,7 +85,7 @@ def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
         by_dim[d].append(chain)
 
     count = 0
-    stack: list[tuple[int, ...]] = [(i,) for i in range(m - 1, -1, -1)]
+    stack: list[tuple[int, ...]] = [(i,) for i in range(len(succ) - 1, -1, -1)]
     while stack:
         chain = stack.pop()
         record(chain)
@@ -191,17 +184,10 @@ def view_homology(view: PosetView) -> HomologyResult:
 
 
 def mobius_number(view: PosetView) -> int:
-    """Moebius number of the view with virtual bounds adjoined, computed by
-    the defining recursion (independently of any homology)."""
-    elements = view.elements()
-    mu: dict[int, int] = {}
-    for i, x in enumerate(elements):
-        below = -1  # contribution of the bottom
-        for j in range(i):
-            if elements[j].rank < x.rank and elements[j].refines(x):
-                below -= mu[j]
-        mu[i] = below
-    return -1 - sum(mu.values())
+    """Moebius number of the view with virtual bounds adjoined, as the
+    alternating chain sum of :func:`chain_sums` (independently of the order
+    complex, whose f-vector gives the same number)."""
+    return chain_sums(view, covers=False)
 
 
 def lefschetz_class_function(view: PosetView) -> ClassFunction:
@@ -216,19 +202,7 @@ def lefschetz_class_function(view: PosetView) -> ClassFunction:
     n = view.n
     values = {}
     for mu in partitions_of(n):
-        perm = canonical_permutation(mu, n)
-        fixed = [x for r, elems in sorted(view.fixed_by(perm).items()) for x in elems]
-        # alternating chain count: T(x) over chains with maximum x
-        tvals: list[int] = []
-        total = -1
-        for i, x in enumerate(fixed):
-            t = 1
-            for j in range(i):
-                if fixed[j].rank < x.rank and fixed[j].refines(x):
-                    t -= tvals[j]
-            tvals.append(t)
-            total += t
-        values[mu] = Fraction(total)
+        values[mu] = Fraction(chain_sums(view, canonical_permutation(mu, n), covers=False))
     return ClassFunction(n, values)
 
 

@@ -115,17 +115,40 @@ def test_report_stability(capsys):
 def test_invalid_input_exit_2(capsys):
     assert main(["alpha", "--n", "30", "--ranks", "1", "--no-cache"]) == 2
     assert main(["homology", "--n", "6", "--poset", "bogus", "--no-cache"]) == 2
+    # a reversed range is malformed, not the empty rank set
+    assert main(["beta", "--n", "6", "--ranks", "3-1", "--no-cache"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_check_suite_that_checks_nothing_exit_2(capsys):
+    for suite, max_n in (("even", "1"), ("method", "2"), ("conj-3.9", "1")):
+        code, out = run(capsys, "check", "--suite", suite, "--max-n", max_n,
+                        "--format", "json", "--no-cache")
+        assert code == 2 and out == "", suite
+    # the smallest bound that checks something still passes
+    code, out = run(capsys, "check", "--suite", "method", "--max-n", "3",
+                    "--format", "json", "--no-cache")
+    assert code == 0 and json.loads(out)["checked"] > 0
 
 
 def test_cache_round_trip(tmp_path, capsys):
-    argv = ["homology", "--n", "4", "--poset", "full", "--format", "json",
-            "--cache-dir", str(tmp_path)]
-    code1, out1 = run(capsys, *argv)
-    code2, out2 = run(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    cached = list(tmp_path.rglob("*.json"))
-    assert len(cached) == 1
+    # a hit must print the bytes of the miss that stored it, in every format:
+    # tsv columns and pretty multiplicity keys keep their build order
+    commands = (
+        ["homology", "--n", "4", "--poset", "full"],
+        ["table", "--family", "bS", "--n", "5"],
+        ["beta", "--n", "7", "--ranks", "2,4,5", "--mult", "trivial,refl"],
+    )
+    for i, command in enumerate(commands):
+        for fmt in ("json", "tsv", "pretty"):
+            cache_dir = tmp_path / f"{i}-{fmt}"
+            argv = [*command, "--format", fmt, "--cache-dir", str(cache_dir)]
+            code1, out1 = run(capsys, *argv)
+            code2, out2 = run(capsys, *argv)
+            assert code1 == code2 == 0
+            assert out1 == out2, (command, fmt)
+            cached = list(cache_dir.rglob("*.json"))
+            assert len(cached) == 1
 
 
 def test_corrupt_cache_entry_recomputed(tmp_path, capsys):

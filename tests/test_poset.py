@@ -219,6 +219,8 @@ def test_parse_rank_set():
     assert parse_rank_set("1-3,5") == (1, 2, 3, 5)
     assert parse_rank_set("-") == ()
     assert parse_rank_set("4,2") == (2, 4)
+    with pytest.raises(ValueError):
+        parse_rank_set("3-1")
 
 
 def test_ground_size_bounds():
@@ -271,6 +273,21 @@ def test_general_view_maximal_chains_agree_with_cover_paths():
         assert chain[-1] in q.maximal_elements()
         for a, b in zip(chain, chain[1:]):
             assert b in covers[a]
+
+
+def test_maximal_chains_refused_past_cap(monkeypatch):
+    import parthom.poset as poset
+
+    q = modular_deleted_view(6, 2)  # a general view: no rank-selected shortcut
+    total = q.count_maximal_chains()
+    assert len(q.maximal_chains()) == total
+    monkeypatch.setattr(poset, "MAX_CHAINS", total - 1)
+    with pytest.raises(FeasibilityError):
+        q.maximal_chains()
+    assert q.count_maximal_chains() == total  # counting is never refused
+    monkeypatch.setattr(poset, "MAX_CHAINS", 10)
+    with pytest.raises(FeasibilityError):
+        full_view(5).maximal_chains()
 
 
 # ---------------------------------------------------------------------------
