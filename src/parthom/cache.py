@@ -1,6 +1,6 @@
 """Content-addressed on-disk cache for command results.
 
-Keys hash the command name, its canonical parameters and a schema version;
+Keys hash the command, its canonical parameters and the package's sources;
 payloads are JSON in the order they were built, so a hit renders the same
 bytes as the miss that stored it.  Writes go through a temporary file and an
 atomic rename, so concurrent identical jobs race benignly: one writes,
@@ -13,12 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import tempfile
-
-#: version 1 stored payloads with sorted keys, which reordered tsv columns
-#: and pretty keys on a hit; those entries must never be served
-SCHEMA_VERSION = 2
 
 ENV_VAR = "PARTHOM_CACHE_DIR"
 
@@ -31,9 +28,17 @@ def default_cache_dir() -> str:
     return os.path.join(base, "parthom")
 
 
+def code_hash() -> str:
+    """sha256 over the NUL-separated names and contents of the package's ``*.py`` sources."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def cache_key(command: str, params: dict) -> str:
     blob = json.dumps(
-        {"schema": SCHEMA_VERSION, "command": command, "params": params},
+        {"code": code_hash(), "command": command, "params": params},
         sort_keys=True,
         separators=(",", ":"),
     )

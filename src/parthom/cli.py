@@ -8,10 +8,11 @@ number tables), ``check`` (verification suites), ``euler`` / ``simsun`` /
 stability reports).
 
 Every run is deterministic given its parameters; results are cached on
-disk keyed by command, canonical parameters and schema version, so a
-repeated invocation emits byte-identical output without recomputing.
+disk keyed by command, canonical parameters and the package's sources, so
+a repeated invocation emits byte-identical output without recomputing.
 Exit codes: 0 success, 1 failed verification (a JSON witness goes to
-stdout), 2 invalid input.
+stdout), 2 invalid input, 3 internal failure (a module check, a homology
+concentration or a Smith normal form invariant did not hold).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 from . import cache
-from .errors import FeasibilityError
+from .errors import ConcentrationError, FeasibilityError, ModuleCheckError
 from .partitions import canonical_sort_key
 from .poset import parse_rank_set, parse_view
 from .reps import (
@@ -93,17 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     _add_common(p)
 
-    p = sub.add_parser("euler", help="zigzag numbers")
-    p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("simsun", help="simsun orbit multiplicities")
-    p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("bi", help="even-block orbit multiplicities")
-    p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
+    for name, text in (("euler", "zigzag numbers"), ("simsun", "simsun orbit multiplicities"),
+                       ("bi", "even-block orbit multiplicities")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--max-n", type=int, required=True)
+        p.set_defaults(family=name)
+        _add_common(p)
 
     p = sub.add_parser("report", help="subposet homology or stability report")
     p.add_argument("--family", required=True, choices=("qnk", "pnk", "le", "ne", "stability"))
@@ -329,10 +325,9 @@ _RESULTS = {
     "homology": _result_homology,
     "table": _result_table,
     "check": _result_check,
-    "euler": lambda args: {"family": "euler",
-                           "rows": [{"n": n, "E_n": euler_number(n)} for n in range(args.max_n + 1)]},
-    "simsun": lambda args: _result_table(argparse.Namespace(family="simsun", n=None, max_n=args.max_n, jobs=1)),
-    "bi": lambda args: _result_table(argparse.Namespace(family="bi", n=None, max_n=args.max_n, jobs=1)),
+    "euler": _result_table,
+    "simsun": _result_table,
+    "bi": _result_table,
     "report": _result_report,
 }
 
@@ -342,7 +337,10 @@ _CACHED_COMMANDS = {"sf", "alpha", "beta", "homology", "table", "report"}
 
 def _cache_params(args) -> dict:
     skip = {"format", "out", "cache_dir", "no_cache", "jobs", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    params = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    if params.get("ranks") is not None:
+        params["ranks"] = list(parse_rank_set(params["ranks"]))
+    return params
 
 
 def main(argv=None) -> int:
@@ -360,6 +358,9 @@ def main(argv=None) -> int:
     except (ValueError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ModuleCheckError, ConcentrationError, AssertionError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text = _render(data, args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

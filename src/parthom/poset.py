@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .errors import FeasibilityError
 from .partitions import check_partition
-from .setparts import SetPartition, act, canonical_permutation, restricted_growth, set_partitions
+from .setparts import SetPartition, canonical_permutation, restricted_growth, set_partitions
 
 #: largest ground set for which views will materialize elements
 MAX_GROUND = 10
@@ -167,10 +167,15 @@ class PosetView:
         return set(range(len(self._elements))) - above_some
 
     def fixed_by(self, perm) -> dict[int, tuple[SetPartition, ...]]:
-        """Elements fixed (as partitions) by the permutation, by rank."""
+        """Elements fixed (as partitions) by the permutation, by rank: those
+        whose pairs (block of e, block of perm(e)) define a function."""
+        if len(perm) != self.n:
+            raise ValueError("permutation degree does not match ground set")
+        images = [p - 1 for p in perm]
         out = {}
         for r, elems in self._by_rank.items():
-            fixed = tuple(x for x in elems if act(perm, x) == x)
+            fixed = tuple(x for x in elems if len(x.blocks) == len(
+                set(zip(x.block_of, map(x.block_of.__getitem__, images)))))
             if fixed:
                 out[r] = fixed
         return out

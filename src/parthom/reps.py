@@ -56,10 +56,6 @@ def _check_degree(n: int) -> None:
         raise FeasibilityError(f"degree {n} exceeds supported bound {MAX_DEGREE}")
 
 
-_ALPHA_CACHE: dict[tuple[int, tuple[int, ...]], SymFunc] = {}
-_BETA_CACHE: dict[tuple[int, tuple[int, ...]], SymFunc] = {}
-
-
 def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
     """Frobenius characteristic of the symmetric group action on the maximal
     chains of the rank-selected subposet (the alpha module of the rank set).
@@ -69,7 +65,7 @@ def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
     _check_degree(n)
     ranks = _ranks_tuple(n, ranks)
     if method == "recurrence":
-        return _alpha_recurrence(n, ranks)
+        return _recurrence(n, ranks, False)
     if method == "chains":
         if n > MAX_CHAIN_DEGREE:
             raise FeasibilityError(f"chain path refused for n={n} > {MAX_CHAIN_DEGREE}")
@@ -79,21 +75,6 @@ def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
         }
         return ClassFunction(n, values).characteristic()
     raise ValueError(f"unknown method {method!r} (use 'recurrence' or 'chains')")
-
-
-def _alpha_recurrence(n: int, ranks: tuple[int, ...]) -> SymFunc:
-    key = (n, ranks)
-    cached = _ALPHA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not ranks:
-        result = homogeneous(n).in_basis("p")
-    else:
-        s1 = ranks[0]
-        inner = _alpha_recurrence(n - s1, tuple(r - s1 for r in ranks[1:]))
-        result = plethysm_with_h_sum(inner, n)
-    _ALPHA_CACHE[key] = result
-    return result
 
 
 def homology_characteristic(
@@ -113,7 +94,7 @@ def homology_characteristic(
     _check_degree(n)
     ranks = _ranks_tuple(n, ranks)
     if method == "recurrence":
-        result = _beta_recurrence(n, ranks)
+        result = _recurrence(n, ranks, True)
     elif method in ("inclusion_exclusion", "chains"):
         alpha_method = "chains" if method == "chains" else "recurrence"
         result = _beta_inclusion_exclusion(n, ranks, alpha_method)
@@ -126,19 +107,15 @@ def homology_characteristic(
     return result
 
 
-def _beta_recurrence(n: int, ranks: tuple[int, ...]) -> SymFunc:
-    key = (n, ranks)
-    cached = _BETA_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=None)
+def _recurrence(n: int, ranks: tuple[int, ...], homology: bool) -> SymFunc:
+    """Alpha, or with ``homology`` beta, of a sorted rank set, peeling its lowest rank."""
     if not ranks:
-        result = homogeneous(n).in_basis("p")
-    else:
-        s1 = ranks[0]
-        inner = _beta_recurrence(n - s1, tuple(r - s1 for r in ranks[1:]))
-        result = plethysm_with_h_sum(inner, n) - _beta_recurrence(n, ranks[1:])
-    _BETA_CACHE[key] = result
-    return result
+        return homogeneous(n).in_basis("p")
+    s1 = ranks[0]
+    inner = _recurrence(n - s1, tuple(r - s1 for r in ranks[1:]), homology)
+    result = plethysm_with_h_sum(inner, n)
+    return result - _recurrence(n, ranks[1:], True) if homology else result
 
 
 def _beta_inclusion_exclusion(n, ranks, alpha_method) -> SymFunc:

@@ -568,16 +568,27 @@ def plethysm(f: SymFunc, g: SymFunc, max_degree: int) -> SymFunc:
 
 
 def plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
-    """Degree-n component of f[h_1 + h_2 + ... + h_n].
-
-    Truncating the series at h_n is harmless: higher terms cannot contribute
-    to output of degree n.
-    """
+    """Degree-n component of f[h_1 + h_2 + ...]: linear in f, so each
+    powersum monomial c p_lam of f adds c times that component of p_lam[...]."""
     acc: Terms = {}
-    for i in range(1, n + 1):
-        _add_into(acc, dict(_h_in_p(i)))
-    g = SymFunc("p", acc)
-    return plethysm(f, g, n).homogeneous_part(n)
+    for lam, c in _to_p(f.basis, f.terms).items():
+        _add_into(acc, dict(_p_in_h_sum(lam, n)), c)
+    return SymFunc("p", acc)
+
+
+@lru_cache(maxsize=None)
+def _p_in_h_sum(lam: tuple, n: int) -> tuple:
+    """Degree-n part of p_lam[h_1 + h_2 + ...], peeling the first part k:
+    the degree-d part of p_k[h_1 + h_2 + ...] is h_{d/k} with every p_i
+    replaced by p_{ik}, and zero unless k divides d."""
+    if not lam:
+        return (((), Fraction(1)),) if n == 0 else ()
+    k, rest = lam[0], lam[1:]
+    acc: Terms = {}
+    for d in range(k, n - sum(rest) + 1, k):
+        head = {tuple(i * k for i in mu): c for mu, c in _h_in_p(d // k)}
+        _add_into(acc, _merge_mul(head, dict(_p_in_h_sum(rest, n - d))))
+    return tuple(acc.items())
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,10 @@ def test_view_order_and_chain_sums_match_refines_oracle(view, data):
     mu = data.draw(st.sampled_from(partitions_of(view.n)), label="cycle type")
     g = canonical_permutation(mu, view.n)
     assert fixed_chain_count(view, mu) == sum(1 for c in chains if len(fixed(g, c)) == len(c))
+    perm = tuple(data.draw(st.permutations(range(1, view.n + 1)), label="permutation"))
+    for h in (g, perm):
+        by_rank = {r: tuple(fixed(h, elems)) for r, elems in view.elements_by_rank().items()}
+        assert view.fixed_by(h) == {r: elems for r, elems in by_rank.items() if elems}
     assert mobius_number(view) == oracle_reduced_euler(view.elements())
     lefschetz = oracle_reduced_euler(fixed(g, view.elements()))
     assert lefschetz_class_function(view).values[mu] == lefschetz

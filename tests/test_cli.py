@@ -3,6 +3,7 @@ import json
 import pytest
 
 from parthom.cli import main
+from parthom.errors import ConcentrationError, ModuleCheckError
 
 
 def run(capsys, *argv):
@@ -92,6 +93,14 @@ def test_euler_simsun_bi_tables(capsys):
     assert out.strip().split("\n")[-1].startswith("4\t4")
 
 
+def test_sequence_commands_match_table(capsys):
+    for family in ("euler", "simsun", "bi"):
+        _, out1 = run(capsys, family, "--max-n", "8", "--format", "tsv")
+        _, out2 = run(capsys, "table", "--family", family, "--max-n", "8",
+                      "--format", "tsv", "--no-cache")
+        assert out1 == out2, family
+
+
 def test_sf_families(capsys):
     code, out = run(capsys, "sf", "--family", "lie", "--n", "4", "--basis", "s",
                     "--format", "json", "--no-cache")
@@ -149,6 +158,47 @@ def test_cache_round_trip(tmp_path, capsys):
             assert out1 == out2, (command, fmt)
             cached = list(cache_dir.rglob("*.json"))
             assert len(cached) == 1
+
+
+def test_cache_entry_of_other_code_not_served(tmp_path, capsys, monkeypatch):
+    import parthom.cache as cache
+
+    argv = ["sf", "--family", "lie", "--n", "4", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(cache, "code_hash", lambda: "0" * 64)
+    _, out = run(capsys, *argv)
+    # tamper with the entry so that serving it would show
+    entry = next(tmp_path.rglob("*.json"))
+    entry.write_text(json.dumps(dict(json.loads(out), dimension="-1")))
+    assert run(capsys, *argv)[1] != out
+    monkeypatch.undo()
+    assert run(capsys, *argv) == (0, out)
+    assert len(list(tmp_path.rglob("*.json"))) == 2
+
+
+def test_equal_rank_sets_share_one_cache_entry(tmp_path, capsys):
+    outputs = set()
+    for ranks in ("1,3", "3,1", "1-1,3"):
+        code, out = run(capsys, "beta", "--n", "6", "--ranks", ranks, "--mult", "trivial",
+                        "--format", "tsv", "--cache-dir", str(tmp_path))
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert len(list(tmp_path.rglob("*.json"))) == 1
+
+
+@pytest.mark.parametrize("error", [ModuleCheckError, ConcentrationError, AssertionError])
+def test_internal_failure_exit_3(capsys, monkeypatch, error):
+    import parthom.cli as cli
+
+    def broken(*args, **kwargs):
+        raise error("invariant broken")
+
+    monkeypatch.setattr(cli, "homology_characteristic", broken)
+    assert main(["beta", "--n", "6", "--ranks", "1,3", "--no-cache"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_corrupt_cache_entry_recomputed(tmp_path, capsys):

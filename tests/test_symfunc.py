@@ -170,6 +170,24 @@ def test_plethysm_with_h_sum_examples():
     assert plethysm_with_h_sum(H(2), 3) == plethysm(H(2), g, 3).homogeneous_part(3)
 
 
+@st.composite
+def symfuncs(draw):
+    """Random f of degree <= 6 with rational coefficients, in the p, h or s basis."""
+    basis = draw(st.sampled_from("phs"))
+    lams = draw(st.lists(
+        st.integers(0, 6).flatmap(lambda d: st.sampled_from(partitions_of(d))),
+        max_size=4))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return SymFunc(basis, {lam: draw(coeffs) for lam in lams})
+
+
+@settings(max_examples=60, deadline=None)
+@given(symfuncs(), st.integers(0, 9))
+def test_plethysm_with_h_sum_matches_truncated_plethysm(f, n):
+    g = SymFunc("h", {(i,): 1 for i in range(1, n + 1)})
+    assert plethysm_with_h_sum(f, n) == plethysm(f, g, n).homogeneous_part(n)
+
+
 # ---------------------------------------------------------------------------
 # inner product, skew, twist
 
