@@ -1,13 +1,17 @@
 """Integer Smith normal form for sparse matrices.
 
-Two phases.  While any entry of absolute value 1 exists, pivot there
-(choosing a lowest-population column, then a lowest-population row, to
-limit fill-in); unit pivots need row operations only and keep every entry
-an integer.  The leftover matrix, usually tiny, is diagonalized by the
-textbook method: pick a minimal-absolute-value pivot, Euclidean row and
-column steps until the pivot divides its row and column, then clear.  The
-recorded diagonal is finally normalized into a divisibility chain by
-pairwise gcd/lcm exchanges, which preserves the cokernel group.
+Two phases.  Phase 1 passes once over the columns, sparsest (by starting
+population) first.  A column that still holds an entry of absolute value 1
+pivots there, in the sparsest row that has one, to limit fill-in: row
+operations clear the rest of the column, which keeps every entry an
+integer, and the pivot row is dropped as one unit invariant factor.  The
+leftover matrix, usually tiny, is diagonalized by the textbook method: pick
+a minimal-absolute-value pivot, Euclidean row and column steps until the
+pivot divides its row and column, then clear.  Fill-in can create units in
+columns phase 1 had already passed, so phase 2 may still meet them.  The
+phase-2 diagonal is finally normalized into a divisibility chain by pairwise
+gcd/lcm exchanges, which preserves the cokernel group, and the phase-1 units
+go in front.
 
 Everything runs over Python integers, so no overflow and no modular
 shortcuts; torsion comes out exactly.
@@ -91,28 +95,6 @@ class SparseIntMatrix:
         for j in list(self.rows.get(i, {})):
             self._set(i, j, 0)
 
-    def drop_col(self, j: int) -> None:
-        for i in list(self.cols.get(j, ())):
-            self._set(i, j, 0)
-
-
-def _unit_pivot(mat: SparseIntMatrix):
-    """A (row, col, value) with |value| = 1 in a sparsest column, or None."""
-    best = None
-    best_cost = None
-    for j, rows in mat.cols.items():
-        clen = len(rows)
-        if best_cost is not None and clen > best_cost[0]:
-            continue
-        for i in rows:
-            if abs(mat.rows[i][j]) == 1:
-                cost = (clen, len(mat.rows[i]))
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best = (i, j, mat.rows[i][j])
-                break
-    return best
-
 
 def _min_entry(mat: SparseIntMatrix):
     best = None
@@ -128,27 +110,25 @@ def invariant_factors(mat: SparseIntMatrix) -> list[int]:
     """Invariant factors of an integer matrix (positive, each dividing the
     next); their count is the rank."""
     work = mat.copy()
-    factors: list[int] = []
 
-    # phase 1: unit pivots, row operations only
-    while True:
-        pivot = _unit_pivot(work)
-        if pivot is None:
-            break
-        i, j, v = pivot
-        prow = dict(work.rows[i])
+    # phase 1: once the column is cleared, column operations against it would
+    # clear the rest of the pivot row without touching anything else
+    units = 0
+    for j in sorted(work.cols, key=lambda c: len(work.cols[c])):
+        unit_rows = [i for i in work.cols.get(j, ()) if abs(work.rows[i][j]) == 1]
+        if not unit_rows:
+            continue
+        i = min(unit_rows, key=lambda r: len(work.rows[r]))
+        v = work.rows[i][j]
         for i2 in list(work.cols[j]):
-            if i2 == i:
-                continue
-            factor = -work.rows[i2][j] * v  # v in {1, -1}
-            for jj, vv in prow.items():
-                cur = work.rows.get(i2, {}).get(jj, 0)
-                work._set(i2, jj, cur + factor * vv)
+            if i2 != i:
+                work.add_multiple_of_row(i2, i, -work.rows[i2][j] * v)  # v in {1, -1}
         work.drop_row(i)
-        work.drop_col(j)
-        factors.append(1)
+        units += 1
 
-    # phase 2: textbook reduction of the residual (no units left)
+    # phase 2: textbook reduction of the residual, which may still hold units
+    # that fill-in created in columns phase 1 had passed
+    factors: list[int] = []
     while work.rows:
         i, j, v = _min_entry(work)
         touched = False
@@ -179,7 +159,7 @@ def invariant_factors(mat: SparseIntMatrix) -> list[int]:
         factors.append(abs(v))
         work._set(i, j, 0)
 
-    return _divisibility_chain(factors)
+    return [1] * units + _divisibility_chain(factors)
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:

@@ -66,9 +66,8 @@ class ChainComplexZ:
                 acc: dict[int, int] = {}
                 for i in upper.cols.get(j, ()):
                     v = upper.rows[i][j]
-                    for i2, v2 in lower.rows.items():
-                        if i in v2:
-                            acc[i2] = acc.get(i2, 0) + v * v2[i]
+                    for i2 in lower.cols.get(i, ()):
+                        acc[i2] = acc.get(i2, 0) + v * lower.rows[i2][i]
                 if any(acc.values()):
                     raise AssertionError(f"boundary composition nonzero at dim {d}, col {j}")
 
@@ -76,28 +75,20 @@ class ChainComplexZ:
 def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
     """All chains of the view as an augmented simplicial complex."""
     succ = [view.above(i) for i in range(len(view))]
-    by_dim: list[list[tuple[int, ...]]] = []
-
-    def record(chain: tuple[int, ...]) -> None:
-        d = len(chain) - 1
-        while len(by_dim) <= d:
-            by_dim.append([])
-        by_dim[d].append(chain)
-
-    count = 0
-    stack: list[tuple[int, ...]] = [(i,) for i in range(len(succ) - 1, -1, -1)]
-    while stack:
-        chain = stack.pop()
-        record(chain)
-        count += 1
+    # extending each chain of a sorted level by its sorted successors keeps
+    # the next level sorted; its size is known before it is built
+    simplices: list[list[tuple[int, ...]]] = []
+    level = [(i,) for i in range(len(succ))]
+    count = len(level)
+    while level:
+        simplices.append(level)
+        count += sum(len(succ[c[-1]]) for c in level)
         if count > MAX_SIMPLICES:
             raise FeasibilityError(
                 f"order complex of {view.describe()} exceeds {MAX_SIMPLICES} simplices"
             )
-        for j in succ[chain[-1]]:
-            stack.append(chain + (j,))
+        level = [c + (j,) for c in level for j in succ[c[-1]]]
 
-    simplices = [sorted(chains) for chains in by_dim]
     boundaries = []
     if simplices:
         aug = [{0: 1} for _ in simplices[0]]

@@ -115,6 +115,14 @@ def test_subposet_report_no_size_k_boundary_case():
     assert rep["modular_deletion_homology"]["betti"]["2"] == 120
 
 
+def test_subposet_report_no_size_k_past_boundary():
+    # n = 2k + 1: a 53,739-simplex complex, inside every cap
+    rep = subposet_homology_report("ne", 7, 3)
+    assert rep["passed"]
+    assert {d: b for d, b in rep["homology"]["betti"].items() if b} == {"3": 400}
+    assert rep["homology"]["torsion"] == {}
+
+
 def test_subposet_report_invalid_family():
     with pytest.raises(ValueError):
         subposet_homology_report("xyz", 5, 3)

@@ -1,7 +1,9 @@
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parthom.classfunc import ClassFunction
 from parthom.errors import ConcentrationError
@@ -58,6 +60,49 @@ def test_snf_divisibility_chain():
         assert b % a == 0
 
 
+def det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def determinantal_factors(rows):
+    """Invariant factors by definition, independently of any elimination:
+    d_k is the gcd of the k x k minors and factor k is d_k / d_(k-1)."""
+    out, prev = [], 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d = 0
+        for r in combinations(range(len(rows)), k):
+            for c in combinations(range(len(rows[0])), k):
+                d = gcd(d, det([[rows[i][j] for j in c] for i in r]))
+        if not d:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
+@st.composite
+def small_matrices(draw):
+    # without units the whole matrix reaches the phase-2 reduction; with them,
+    # fill-in can still leave a residual that does
+    values = draw(st.sampled_from([
+        [v for v in range(-6, 7) if v],
+        [v for v in range(-6, 7) if abs(v) > 1],
+    ]))
+    density = draw(st.integers(1, 10))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    return [[draw(st.sampled_from(values)) if draw(st.integers(1, 10)) <= density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_snf_matches_determinantal_divisors(rows):
+    assert invariant_factors(mat(rows)) == determinantal_factors(rows)
+
+
 # ---------------------------------------------------------------------------
 # order complexes
 
@@ -89,6 +134,14 @@ def test_empty_view_complex():
 def test_boundary_squares_to_zero_is_checked():
     for view in (full_view(5), modular_deleted_view(5, 3), max_block_size_view(6, 3)):
         order_complex(view).check_boundary_squares_to_zero()
+    # one flipped sign in any boundary breaks the composition with a neighbour
+    cc = order_complex(full_view(5))
+    for bd in cc.boundaries[1:]:
+        i, j, v = next(bd.entries())
+        bd._set(i, j, -v)
+        with pytest.raises(AssertionError):
+            cc.check_boundary_squares_to_zero()
+        bd._set(i, j, v)
 
 
 def test_export_boundaries_format():
