@@ -5,15 +5,13 @@ partition ``lam`` on the conjugacy class of cycle type ``mu``.  The
 recursion peels a border strip of length ``mu[0]`` off the diagram of
 ``lam``; strips are located through first-column hook lengths (beta
 numbers), which makes both the "leaves a partition" test and the spanned
-row count cheap.  Everything is memoized globally, so building the full
-table of a degree reuses all smaller degrees.
+row count cheap.  Everything is memoized globally, so evaluating every
+character of a degree reuses all smaller degrees.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .partitions import partitions_of
 
 
 @lru_cache(maxsize=None)
@@ -44,13 +42,6 @@ def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         if sub:
             total += -sub if height % 2 else sub
     return total
-
-
-@lru_cache(maxsize=None)
-def character_table(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Full character table of degree *n* keyed by (irreducible, class)."""
-    parts = partitions_of(n)
-    return {(lam, mu): character(lam, mu) for lam in parts for mu in parts}
 
 
 def irreducible_dimension(lam) -> int:

@@ -22,6 +22,7 @@ from .poset import (
     no_block_size_view,
 )
 from .reps import (
+    _check_degree,
     chain_characteristic,
     even_block_multiplicity,
     euler_number,
@@ -154,9 +155,12 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
+    n_min = max(ranks) + 2
+    if n_max < n_min:
+        # a report over no ground size must not pass
+        raise ValueError(f"n_max {n_max} < max(S) + 2 = {n_min}: the report covers no n")
     report = StabilityReport(ranks=ranks, k=k, n_max=n_max)
     report.onset_bound = 2 * max(ranks) + k
-    n_min = max(ranks) + 2
 
     tracked: dict[str, dict[int, Fraction]] = {}
     for n in range(n_min, n_max + 1):
@@ -280,6 +284,9 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
     ``even``: the even-block characteristic against the independent
     rank-selected recurrence, plus involution support.
     """
+    if name in ("hh", "euler"):
+        # both suites reach degree n_max; refuse before the first rank set
+        _check_degree(n_max)
     verdict = Verdict(name)
     if name == "conj-3.9":
         for n in range(2, n_max + 1):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 from . import cache
@@ -187,6 +186,8 @@ def _result_table(args) -> dict:
             for S in combinations(range(1, args.n - 1), size)
         ]
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_bs_row, tasks))
         else:

@@ -121,10 +121,6 @@ def set_partitions(n: int, k: int):
         yield SetPartition(n, blocks)
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
 def canonical_permutation(mu, n: int | None = None) -> tuple[int, ...]:
     """The representative of cycle type *mu* whose cycles are filled with
     consecutive integers, longest cycle first.  Returned as the tuple of

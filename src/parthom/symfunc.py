@@ -10,18 +10,21 @@ The powersum basis is canonical for arithmetic: products concatenate
 indices and plethysm is a monomial substitution there.  The other bases
 are reached by exact conversions:
 
-* ``h_n`` and ``e_n`` expand into powersums by the classical class-size
-  formulas; ``p_n`` expands back through Newton's identities.
+* ``h_n`` expands into powersums by the classical class-size formula;
+  ``p_n`` expands back through Newton's identities.
+* ``e`` is the image of ``h`` under the involution omega, which only
+  signs powersum monomials: omega(p_lam) = (-1)^(|lam| - len(lam)) p_lam.
 * Schur conversions pair powersum coefficients against symmetric group
   characters (see :mod:`parthom.chartable`), so no floating point and no
   determinants are involved.
-* Monomial conversions count assignments of powersum parts onto exponent
-  vectors, inverting a triangular matrix per degree for the other
-  direction.
+* Monomial conversions use Hall duality with ``h``: <h_lam, m_mu> is 1
+  when lam = mu and 0 otherwise, so the m_lam coefficient of f is
+  <f, h_lam>, and the p_mu coefficient of m_lam is the h_lam coefficient
+  of p_mu divided by z_mu.
 
 All values are immutable after construction and every operation is a pure
-function; the per-degree caches below are append-only dicts, safe for
-concurrent readers.
+function; the expansions below are memoized with ``lru_cache`` and hand
+out immutable tuples.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def _add_into(acc: Terms, terms: Terms, c: Fraction = Fraction(1)) -> None:
 
 
 # ---------------------------------------------------------------------------
-# single-generator expansions, memoized per degree
+# expansions into and out of powersums, memoized; e and m come from h
 
 @lru_cache(maxsize=None)
 def _h_in_p(n: int) -> tuple:
@@ -99,33 +102,11 @@ def _h_in_p(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _e_in_p(n: int) -> tuple:
-    # e_n carries the class sign (-1)^(n - length)
-    out = []
-    for lam in partitions_of(n):
-        sign = -1 if (n - len(lam)) % 2 else 1
-        out.append((lam, Fraction(sign, zee(lam))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _p_in_h(n: int) -> tuple:
     # Newton: p_n = n h_n - sum_{i<n} h_{n-i} p_i
     acc: Terms = {(n,): Fraction(n)}
     for i in range(1, n):
         _add_into(acc, _merge_mul({(n - i,): Fraction(1)}, dict(_p_in_h(i))), Fraction(-1))
-    return tuple(acc.items())
-
-
-@lru_cache(maxsize=None)
-def _p_in_e(n: int) -> tuple:
-    # n e_n = sum_{i=1..n} (-1)^(i-1) p_i e_{n-i}, solved for p_n
-    acc: Terms = {(n,): Fraction(n)}
-    for i in range(1, n):
-        sign = Fraction(-1 if (i - 1) % 2 else 1)
-        _add_into(acc, _merge_mul({(n - i,): sign}, dict(_p_in_e(i))), Fraction(-1))
-    if n % 2 == 0:
-        acc = _scale(acc, Fraction(-1))
     return tuple(acc.items())
 
 
@@ -142,24 +123,20 @@ def _s_in_p(lam: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _gen_product_in_p(basis: str, lam: tuple) -> tuple:
-    """Basis element h_lam / e_lam / s_lam expanded in powersums."""
-    if basis == "s":
-        return _s_in_p(lam)
-    gen = _h_in_p if basis == "h" else _e_in_p
+def _gen_product_in_p(lam: tuple) -> tuple:
+    """h_lam expanded in powersums."""
     acc: Terms = {(): Fraction(1)}
     for part in lam:
-        acc = _merge_mul(acc, dict(gen(part)))
+        acc = _merge_mul(acc, dict(_h_in_p(part)))
     return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
-def _p_product_in(basis: str, lam: tuple) -> tuple:
-    """Powersum monomial p_lam expanded in the h or e basis."""
-    gen = _p_in_h if basis == "h" else _p_in_e
+def _p_product_in(lam: tuple) -> tuple:
+    """Powersum monomial p_lam expanded in the h basis."""
     acc: Terms = {(): Fraction(1)}
     for part in lam:
-        acc = _merge_mul(acc, dict(gen(part)))
+        acc = _merge_mul(acc, dict(_p_in_h(part)))
     return tuple(acc.items())
 
 
@@ -170,75 +147,34 @@ def _check_schur_degree(n: int) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# monomial basis machinery
-
 @lru_cache(maxsize=None)
-def _assignment_count(parts: tuple, capacities: tuple) -> int:
-    """Number of maps from the (ordered) list *parts* onto distinguishable
-    bins with the given leftover capacities, filling every bin exactly.
-
-    This is the coefficient of the monomial x^capacities in p_parts once
-    the capacities are a sorted exponent vector.
-    """
-    if not parts:
-        return 1 if not capacities else 0
-    if sum(parts) != sum(capacities):
-        return 0
-    part = parts[0]
-    rest = parts[1:]
-    total = 0
-    seen = set()
-    caps = list(capacities)
-    for idx, v in enumerate(caps):
-        if v < part or v in seen:
-            continue
-        seen.add(v)
-        nxt = caps[:idx] + caps[idx + 1 :]
-        if v > part:
-            nxt.append(v - part)
-        mult = caps.count(v)
-        total += mult * _assignment_count(rest, tuple(sorted(nxt, reverse=True)))
-    return total
-
-
-@lru_cache(maxsize=None)
-def _p_in_m_row(mu: tuple) -> tuple:
-    n = sum(mu)
+def _m_in_p(lam: tuple) -> tuple:
+    """m_lam expanded in powersums: the p_mu coefficient is <m_lam, p_mu> / z_mu,
+    which by Hall duality is the h_lam coefficient of p_mu divided by z_mu."""
     out = []
-    for lam in partitions_of(n):
-        c = _assignment_count(mu, lam)
+    for mu in partitions_of(sum(lam)):
+        c = dict(_p_product_in(mu)).get(lam)
         if c:
-            out.append((lam, Fraction(c)))
+            out.append((mu, c / zee(mu)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _m_in_p_table(n: int) -> dict:
-    """m_kappa -> powersum expansion for every kappa |- n.
+def _p_in_m(mu: tuple) -> tuple:
+    """p_mu expanded in monomials: the m_lam coefficient is <p_mu, h_lam>, which
+    is z_mu times the p_mu coefficient of h_lam."""
+    out = []
+    for lam in partitions_of(sum(mu)):
+        c = dict(_gen_product_in_p(lam)).get(mu)
+        if c:
+            out.append((lam, c * zee(mu)))
+    return tuple(out)
 
-    The transition matrix (coefficient of m_lam in p_mu) is triangular with
-    respect to decreasing lexicographic order, because merging parts of mu
-    only moves up in dominance; back substitution inverts it exactly.
-    """
-    parts = list(partitions_of(n))
-    index = {lam: i for i, lam in enumerate(parts)}
-    rows = {mu: dict(_p_in_m_row(mu)) for mu in parts}
-    table = {}
-    for kappa in parts:
-        # the expansion of m_kappa uses only p_mu with mu at or above kappa
-        # in the decreasing-lex list, so substitute from kappa upward
-        coeffs: Terms = {}
-        for i in range(index[kappa], -1, -1):
-            mu = parts[i]
-            val = Fraction(1) if mu == kappa else Fraction(0)
-            for mu2, c2 in coeffs.items():
-                val -= c2 * rows[mu2].get(mu, 0)
-            diag = rows[mu][mu]
-            if val:
-                coeffs[mu] = val / diag
-        table[kappa] = tuple(coeffs.items())
-    return table
+
+def _twist(terms: Terms) -> Terms:
+    """The involution omega on powersum terms, p_lam -> (-1)^(|lam| - len(lam)) p_lam;
+    it sends h_lam to e_lam and s_lam to the Schur function of the conjugate."""
+    return {lam: -c if (sum(lam) - len(lam)) % 2 else c for lam, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +183,20 @@ def _m_in_p_table(n: int) -> dict:
 def _to_p(basis: str, terms: Terms) -> Terms:
     if basis == "p":
         return dict(terms)
+    if basis == "e":
+        return _twist(_to_p("h", terms))
+    expand = {"h": _gen_product_in_p, "s": _s_in_p, "m": _m_in_p}[basis]
     acc: Terms = {}
-    if basis == "m":
-        for lam, c in terms.items():
-            table = _m_in_p_table(sum(lam))
-            _add_into(acc, dict(table[lam]), c)
-        return acc
     for lam, c in terms.items():
-        _add_into(acc, dict(_gen_product_in_p(basis, lam)), c)
+        _add_into(acc, dict(expand(lam)), c)
     return acc
 
 
 def _from_p(target: str, pterms: Terms) -> Terms:
     if target == "p":
         return dict(pterms)
-    if target in ("h", "e"):
-        acc: Terms = {}
-        for lam, c in pterms.items():
-            _add_into(acc, dict(_p_product_in(target, lam)), c)
-        return acc
+    if target == "e":
+        return _from_p("h", _twist(pterms))
     if target == "s":
         out: Terms = {}
         for n in sorted({sum(lam) for lam in pterms}):
@@ -276,12 +207,13 @@ def _from_p(target: str, pterms: Terms) -> Terms:
                 if val:
                     out[lam] = val
         return out
-    if target == "m":
-        acc = {}
-        for mu, c in pterms.items():
-            _add_into(acc, dict(_p_in_m_row(mu)), c)
-        return acc
-    raise ValueError(f"unknown basis {target!r}")
+    expand = {"h": _p_product_in, "m": _p_in_m}.get(target)
+    if expand is None:
+        raise ValueError(f"unknown basis {target!r}")
+    acc: Terms = {}
+    for lam, c in pterms.items():
+        _add_into(acc, dict(expand(lam)), c)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +360,7 @@ class SymFunc:
     def sign_twist(self) -> "SymFunc":
         """The involution sending p_k to (-1)^(k-1) p_k, i.e. tensoring the
         underlying module with the sign representation."""
-        pterms = _to_p(self.basis, self.terms)
-        out = {}
-        for lam, c in pterms.items():
-            if (sum(lam) - len(lam)) % 2:
-                c = -c
-            out[lam] = c
-        return SymFunc("p", out).in_basis(self.basis)
+        return SymFunc("p", _twist(_to_p(self.basis, self.terms))).in_basis(self.basis)
 
     # -- serialization ---------------------------------------------------------
 
@@ -639,6 +565,5 @@ def hook_schur(n: int, k: int) -> SymFunc:
     acc: Terms = {}
     for i in range(k + 1):
         sign = Fraction(-1 if (k - i) % 2 else 1)
-        term = _merge_mul(dict(_h_in_p(n - i)), dict(_e_in_p(i)) if i else {(): Fraction(1)})
-        _add_into(acc, term, sign)
+        _add_into(acc, _merge_mul(dict(_h_in_p(n - i)), _twist(dict(_h_in_p(i)))), sign)
     return SymFunc("p", acc)

@@ -74,19 +74,24 @@ class ChainComplexZ:
 
 def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
     """All chains of the view as an augmented simplicial complex."""
-    succ = [view.above(i) for i in range(len(view))]
     # extending each chain of a sorted level by its sorted successors keeps
-    # the next level sorted; its size is known before it is built
+    # the next level sorted.  The size of the next level is counted before it
+    # is built, and an element's successor list is built when a chain first
+    # ends in it, so the count passes the cap before the rest is built
+    succ: dict[int, list[int]] = {}
     simplices: list[list[tuple[int, ...]]] = []
-    level = [(i,) for i in range(len(succ))]
+    level = [(i,) for i in range(len(view))]
     count = len(level)
     while level:
         simplices.append(level)
-        count += sum(len(succ[c[-1]]) for c in level)
-        if count > MAX_SIMPLICES:
-            raise FeasibilityError(
-                f"order complex of {view.describe()} exceeds {MAX_SIMPLICES} simplices"
-            )
+        for c in level:
+            if c[-1] not in succ:
+                succ[c[-1]] = view.above(c[-1])
+            count += len(succ[c[-1]])
+            if count > MAX_SIMPLICES:
+                raise FeasibilityError(
+                    f"order complex of {view.describe()} exceeds {MAX_SIMPLICES} simplices"
+                )
         level = [c + (j,) for c in level for j in succ[c[-1]]]
 
     boundaries = []

@@ -121,6 +121,37 @@ def test_report_stability(capsys):
     assert data["passed"]
 
 
+def test_stability_report_over_no_n_exit_2(capsys):
+    # --max-n below max(S) + 2 leaves no ground size to report on
+    code, out = run(capsys, "report", "--family", "stability", "--ranks", "2",
+                    "--k", "1", "--max-n", "2", "--format", "json", "--no-cache")
+    assert code == 2 and out == ""
+    code, out = run(capsys, "report", "--family", "stability", "--ranks", "2",
+                    "--k", "1", "--max-n", "4", "--format", "json", "--no-cache")
+    assert code == 0 and [row["n"] for row in json.loads(out)["rows"]] == [4]
+
+
+def test_degree_bound_refused_before_first_rank_set(capsys, monkeypatch):
+    import parthom.checks as checks
+    import parthom.reps as reps
+
+    calls = []
+    real = checks.multiplicities
+
+    def counted(n, ranks):
+        calls.append((n, ranks))
+        return real(n, ranks)
+
+    monkeypatch.setattr(checks, "multiplicities", counted)
+    monkeypatch.setattr(reps, "MAX_DEGREE", 6)
+    for suite in ("euler", "hh"):
+        code = main(["check", "--suite", suite, "--max-n", "7", "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", suite
+        assert captured.err == "error: degree 7 exceeds supported bound 6\n"
+    assert calls == []
+
+
 def test_invalid_input_exit_2(capsys):
     assert main(["alpha", "--n", "30", "--ranks", "1", "--no-cache"]) == 2
     assert main(["homology", "--n", "6", "--poset", "bogus", "--no-cache"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,18 @@ def newton_h_in_p(n):
                 acc[key] = acc.get(key, 0) + c
         hs.append({k: v / m for k, v in acc.items()})
     return hs[n]
+
+
+def monomial_count(mu, lam):
+    """Coefficient of x^lam in p_mu: the maps from the parts of mu to
+    len(lam) slots whose slot sums are lam."""
+    count = 0
+    for slots in itertools.product(range(len(lam)), repeat=len(mu)):
+        sums = [0] * len(lam)
+        for part, slot in zip(mu, slots):
+            sums[slot] += part
+        count += tuple(sums) == lam
+    return count
 
 
 def pair_partition_character():
@@ -79,6 +92,22 @@ def test_h2_in_p_matches_newton_oracle():
 def test_single_row_schur_is_h():
     for n in range(1, 7):
         assert S(n) == H(n)
+
+
+def test_e_is_the_single_column_schur_function():
+    # the Schur side comes from characters, not from the omega twist of h
+    for n in range(1, 9):
+        assert E(n) == S((1,) * n)
+
+
+def test_powersum_in_monomials_matches_brute_force_count():
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            got = P(mu).in_basis("m")
+            for lam in partitions_of(n):
+                assert got.coefficient(lam) == monomial_count(mu, lam), (mu, lam)
+            # and m back to p inverts the checked table
+            assert got.in_basis("p").terms == {mu: 1}
 
 
 def test_e2_in_h():

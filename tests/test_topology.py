@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parthom.classfunc import ClassFunction
-from parthom.errors import ConcentrationError
+from parthom.errors import ConcentrationError, FeasibilityError
 from parthom.partitions import partitions_of
 from parthom.poset import (
+    PosetView,
     full_view,
     max_block_size_view,
     modular_deleted_view,
@@ -142,6 +143,25 @@ def test_boundary_squares_to_zero_is_checked():
         with pytest.raises(AssertionError):
             cc.check_boundary_squares_to_zero()
         bd._set(i, j, v)
+
+
+def test_order_complex_refused_before_every_successor_list(monkeypatch):
+    import parthom.topology as topology
+
+    view = full_view(6)
+    calls = []
+    real = PosetView.above
+
+    def counted(self, i, ranks=None):
+        calls.append(i)
+        return real(self, i, ranks)
+
+    monkeypatch.setattr(PosetView, "above", counted)
+    # the vertices fit under the cap and the first few edges do not
+    monkeypatch.setattr(topology, "MAX_SIMPLICES", len(view) + 10)
+    with pytest.raises(FeasibilityError, match="exceeds"):
+        order_complex(view)
+    assert 0 < len(calls) < len(view)
 
 
 def test_export_boundaries_format():
