@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
-from .chartable import character
-from .errors import ConcentrationError
-from .partitions import partitions_of, zee
+from . import reps
+from .classfunc import ClassFunction
+from .errors import ConcentrationError, FeasibilityError
 from .poset import (
     PosetView,
     max_block_size_view,
@@ -24,37 +25,25 @@ from .poset import (
 from .reps import (
     _check_degree,
     chain_characteristic,
+    class_values,
+    even_block_characteristic,
     even_block_multiplicity,
     euler_number,
     homology_characteristic,
     lie_character,
     multiplicities,
+    schur_multiplicity,
     simsun,
     whitehouse_module,
 )
-from .symfunc import SymFunc, positivity
+from .symfunc import SymFunc, homogeneous, positivity
 from .topology import concentrated_character, order_complex, homology
 
 
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _schur_multiplicity(f: SymFunc, lam: tuple[int, ...]) -> Fraction:
-    """<f, s_lam> without expanding the whole Schur basis: pair the powersum
-    coefficients against one character row."""
-    pterms = f.in_basis("p").terms
-    n = sum(lam)
-    total = Fraction(0)
-    for mu in partitions_of(n):
-        c = pterms.get(mu)
-        if c:
-            total += c * character(lam, mu)
-    return total
-
-
 def _subsets(universe):
-    from itertools import combinations
-
     universe = tuple(universe)
     for size in range(len(universe) + 1):
         yield from combinations(universe, size)
@@ -159,23 +148,28 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
     if n_max < n_min:
         # a report over no ground size must not pass
         raise ValueError(f"n_max {n_max} < max(S) + 2 = {n_min}: the report covers no n")
+    if n_max + 1 > reps.MAX_DEGREE:
+        raise FeasibilityError(
+            f"--max-n {n_max} needs degree {n_max + 1} for the shift identities; "
+            f"the supported bound is {reps.MAX_DEGREE}"
+        )
     report = StabilityReport(ranks=ranks, k=k, n_max=n_max)
     report.onset_bound = 2 * max(ranks) + k
 
-    tracked: dict[str, dict[int, Fraction]] = {}
+    tracked: dict[str, dict[int, int]] = {}
     for n in range(n_min, n_max + 1):
-        alpha = chain_characteristic(n, ranks)
-        beta = homology_characteristic(n, ranks)
+        alpha = class_values(n, ranks)
+        beta = class_values(n, ranks, homology=True)
         m = multiplicities(n, ranks)
         row = {"n": n, "a": m.a, "a_prime": m.a_prime, "b": m.b, "b_prime": m.b_prime}
         if n - k >= k:
             two_row = (n - k, k) if k else (n,)
-            row["alpha_two_row"] = int(_schur_multiplicity(alpha, two_row))
-            row["beta_two_row"] = int(_schur_multiplicity(beta, two_row))
+            row["alpha_two_row"] = schur_multiplicity(alpha, two_row)
+            row["beta_two_row"] = schur_multiplicity(beta, two_row)
         if n - k >= 1:
             hook = (n - k,) + (1,) * k
-            row["alpha_hook"] = int(_schur_multiplicity(alpha, hook))
-            row["beta_hook"] = int(_schur_multiplicity(beta, hook))
+            row["alpha_hook"] = schur_multiplicity(alpha, hook)
+            row["beta_hook"] = schur_multiplicity(beta, hook)
         report.rows.append(row)
         for key, val in row.items():
             if key != "n":
@@ -283,10 +277,14 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
     ``orbit``: the simsun orbit decomposition of the full chain action.
     ``even``: the even-block characteristic against the independent
     rank-selected recurrence, plus involution support.
+    ``method``: the chain-counting and recurrence paths agree on alpha and
+    beta of every rank set, for n up to min(n_max, 7).
     """
-    if name in ("hh", "euler"):
-        # both suites reach degree n_max; refuse before the first rank set
+    # refuse each suite's largest degree before its first check
+    if name in ("hh", "euler", "orbit"):
         _check_degree(n_max)
+    elif name in ("conj-3.7", "even"):
+        _check_degree(2 * n_max)
     verdict = Verdict(name)
     if name == "conj-3.9":
         for n in range(2, n_max + 1):
@@ -320,8 +318,6 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
                 n=n, total=total_bp, expected=euler_number(n),
             )
     elif name == "orbit":
-        from .symfunc import homogeneous
-
         for n in range(4, n_max + 1):
             alpha = chain_characteristic(n, range(1, n - 1))
             dec = SymFunc("p", {})
@@ -331,9 +327,6 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
                     dec = dec + homogeneous([2] * i + [1] * (n - 2 * i)) * Fraction(c)
             verdict.check(f"orbit decomposition at n={n}", alpha == dec, n=n)
     elif name == "even":
-        from .classfunc import ClassFunction
-        from .reps import even_block_characteristic
-
         for n in range(2, n_max + 1):
             r = even_block_characteristic(n, validate=False)
             other = homology_characteristic(2 * n, range(2, 2 * n - 1, 2))
@@ -342,6 +335,15 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
             verdict.check(
                 f"involution support, 2n={2 * n}", cf.supported_on_involutions(), n=n
             )
+    elif name == "method":
+        for n in range(3, min(n_max, 7) + 1):
+            for S in _subsets(range(1, n - 1)):
+                same_a = chain_characteristic(n, S, "chains") == chain_characteristic(n, S, "recurrence")
+                same_b = homology_characteristic(n, S, "chains") == homology_characteristic(n, S, "recurrence")
+                verdict.check(f"alpha paths agree n={n} S={S}", same_a, n=n, S=list(S))
+                verdict.check(f"beta paths agree n={n} S={S}", same_b, n=n, S=list(S))
+        if n_max > 7:
+            verdict.notes.append("chain path capped at n = 7")
     else:
         raise ValueError(f"unknown check suite {name!r}")
     return verdict

@@ -50,7 +50,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--cache-dir", default=None, help="cache directory (default: $PARTHOM_CACHE_DIR or ~/.cache/parthom)")
     sub.add_argument("--no-cache", action="store_true", help="bypass the on-disk cache")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel jobs for independent table rows")
+    sub.add_argument("--jobs", type=int, default=1, help="accepted and ignored: every command runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,36 +163,16 @@ def _result_homology(args) -> dict:
     return hom.to_json_dict()
 
 
-def _bs_row(task) -> dict:
-    n, ranks = task
-    m = multiplicities(n, ranks)
-    return {
-        "n": n,
-        "S": list(ranks),
-        "a_S": m.a,
-        "a'_S": m.a_prime,
-        "b_S": m.b,
-        "b'_S": m.b_prime,
-    }
-
-
 def _result_table(args) -> dict:
     if args.family == "bS":
         if args.n is None:
             raise ValueError("table --family bS needs --n")
-        tasks = [
-            (args.n, S)
+        columns = ("a_S", "a'_S", "b_S", "b'_S")
+        rows = [
+            {"n": args.n, "S": list(S), **dict(zip(columns, multiplicities(args.n, S)))}
             for size in range(args.n - 1)
             for S in combinations(range(1, args.n - 1), size)
         ]
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_bs_row, tasks))
-        else:
-            rows = [_bs_row(t) for t in tasks]
-        rows.sort(key=lambda r: (len(r["S"]), r["S"]))
         return {"family": "bS", "n": args.n, "rows": rows}
     limit = args.max_n
     if limit is None:
@@ -222,30 +202,11 @@ def _result_table(args) -> dict:
 
 
 def _result_check(args) -> dict:
-    if args.suite == "method":
-        verdict = _method_agreement(args.max_n)
-    else:
-        verdict = conjecture_checks(args.suite, args.max_n)
+    verdict = conjecture_checks(args.suite, args.max_n)
     if not verdict.assertions:
         # a suite that checks nothing must not report a pass
         raise ValueError(f"suite {args.suite!r} checks nothing at --max-n {args.max_n}")
     return verdict.to_json_dict()
-
-
-def _method_agreement(n_max: int):
-    from .checks import Verdict
-
-    verdict = Verdict("method")
-    for n in range(3, min(n_max, 7) + 1):
-        for size in range(n - 1):
-            for S in combinations(range(1, n - 1), size):
-                same_a = chain_characteristic(n, S, "chains") == chain_characteristic(n, S, "recurrence")
-                same_b = homology_characteristic(n, S, "chains") == homology_characteristic(n, S, "recurrence")
-                verdict.check(f"alpha paths agree n={n} S={S}", same_a, n=n, S=list(S))
-                verdict.check(f"beta paths agree n={n} S={S}", same_b, n=n, S=list(S))
-    if n_max > 7:
-        verdict.notes.append("chain path capped at n = 7")
-    return verdict
 
 
 def _result_report(args) -> dict:

@@ -7,7 +7,8 @@ cross-checked in the tests:
   maximal chains fixed by one permutation per cycle type, and applies the
   Frobenius characteristic;
 * the *recurrence* path peels the lowest selected rank with a plethysm
-  into the sum h_1 + h_2 + ... restricted to the right degree.
+  into the sum h_1 + h_2 + ... restricted to the right degree, carried out
+  on integer class values.
 
 On top of these sit the classical numbers attached to the lattice: Euler
 (zigzag) numbers, the simsun multiplicities decomposing the chain action
@@ -20,12 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import combinations
+from math import comb, factorial
+from operator import mul, sub
 from typing import NamedTuple
 
+from .chartable import character
 from .classfunc import ClassFunction
 from .errors import FeasibilityError, ModuleCheckError
-from .partitions import partitions_of
+from .partitions import check_partition, partitions_of, zee
 from .poset import fixed_chain_count, rank_selected_view
 from .symfunc import (
     SymFunc,
@@ -44,6 +48,8 @@ MAX_CHAIN_DEGREE = 8
 
 
 def _ranks_tuple(n: int, ranks) -> tuple[int, ...]:
+    """The sorted rank set, once the degree and every rank are in bounds."""
+    _check_degree(n)
     out = tuple(sorted(set(int(r) for r in ranks)))
     for r in out:
         if not 1 <= r <= n - 2:
@@ -62,18 +68,17 @@ def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
 
     The empty rank set gives the trivial module h_n (a single empty chain).
     """
-    _check_degree(n)
-    ranks = _ranks_tuple(n, ranks)
+    return _characteristic(n, _chain_values(n, _ranks_tuple(n, ranks), method))
+
+
+def _chain_values(n: int, ranks: tuple[int, ...], method: str) -> tuple[int, ...]:
     if method == "recurrence":
         return _recurrence(n, ranks, False)
     if method == "chains":
         if n > MAX_CHAIN_DEGREE:
             raise FeasibilityError(f"chain path refused for n={n} > {MAX_CHAIN_DEGREE}")
         view = rank_selected_view(n, ranks)
-        values = {
-            mu: Fraction(fixed_chain_count(view, mu)) for mu in partitions_of(n)
-        }
-        return ClassFunction(n, values).characteristic()
+        return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
     raise ValueError(f"unknown method {method!r} (use 'recurrence' or 'chains')")
 
 
@@ -91,44 +96,67 @@ def homology_characteristic(
     fully independent of the recurrence.  With ``validate`` the Schur
     expansion is checked to be a genuine module.
     """
-    _check_degree(n)
     ranks = _ranks_tuple(n, ranks)
     if method == "recurrence":
-        result = _recurrence(n, ranks, True)
+        values = _recurrence(n, ranks, True)
     elif method in ("inclusion_exclusion", "chains"):
         alpha_method = "chains" if method == "chains" else "recurrence"
-        result = _beta_inclusion_exclusion(n, ranks, alpha_method)
+        values = [0] * len(partitions_of(n))
+        for size in range(len(ranks) + 1):
+            sign = (-1) ** (len(ranks) - size)
+            for subset in combinations(ranks, size):
+                values = [v + sign * a for v, a in zip(values, _chain_values(n, subset, alpha_method))]
     else:
         raise ValueError(
             f"unknown method {method!r} (use 'recurrence', 'inclusion_exclusion' or 'chains')"
         )
+    result = _characteristic(n, values)
     if validate:
         assert_genuine_module(result, f"beta({n}, {ranks})")
     return result
 
 
+def class_values(n: int, ranks, homology: bool = False) -> tuple[int, ...]:
+    """Integer class values over ``partitions_of(n)`` of the alpha module of
+    a rank set, or with ``homology`` of its beta module, by the recurrence."""
+    return _recurrence(n, _ranks_tuple(n, ranks), homology)
+
+
+def _characteristic(n: int, values) -> SymFunc:
+    return ClassFunction(n, dict(zip(partitions_of(n), values))).characteristic()
+
+
 @lru_cache(maxsize=None)
-def _recurrence(n: int, ranks: tuple[int, ...], homology: bool) -> SymFunc:
-    """Alpha, or with ``homology`` beta, of a sorted rank set, peeling its lowest rank."""
+def _recurrence(n: int, ranks: tuple[int, ...], homology: bool) -> tuple[int, ...]:
+    """Alpha, or with ``homology`` beta, of a sorted rank set, peeling its
+    lowest rank s: alpha_S(n) = N_{n,n-s} alpha_{S'}(n - s), and beta
+    subtracts beta_{S - s}(n) from the same product."""
     if not ranks:
-        return homogeneous(n).in_basis("p")
+        return (1,) * len(partitions_of(n))
     s1 = ranks[0]
     inner = _recurrence(n - s1, tuple(r - s1 for r in ranks[1:]), homology)
-    result = plethysm_with_h_sum(inner, n)
-    return result - _recurrence(n, ranks[1:], True) if homology else result
+    values = [sum(c * inner[j] for j, c in row) for row in _fixed_partition_counts(n, n - s1)]
+    if homology:
+        values = map(sub, values, _recurrence(n, ranks[1:], True))
+    return tuple(values)
 
 
-def _beta_inclusion_exclusion(n, ranks, alpha_method) -> SymFunc:
-    from itertools import combinations
-
-    total = None
-    for size in range(len(ranks) + 1):
-        for subset in combinations(ranks, size):
-            term = chain_characteristic(n, subset, method=alpha_method)
-            if (len(ranks) - size) % 2:
-                term = term * Fraction(-1)
-            total = term if total is None else total + term
-    return total
+@lru_cache(maxsize=None)
+def _fixed_partition_counts(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows of N_{n,m}, as (index of lam, N(nu, lam)) pairs per nu:
+    N(nu, lam) counts the partitions of [n] into m blocks fixed by a
+    permutation of type nu that permutes their blocks with type lam.  It
+    maps class values of f to those of f[h_1 + h_2 + ...] in degree n, so
+    it is z_nu / z_lam times the p_nu coefficient of p_lam[h_1 + h_2 + ...]."""
+    index = {nu: i for i, nu in enumerate(partitions_of(n))}
+    rows: list[list[tuple[int, int]]] = [[] for _ in index]
+    for j, lam in enumerate(partitions_of(m)):
+        for nu, c in plethysm_with_h_sum(powersum(lam), n).terms.items():
+            count = c * zee(nu) / zee(lam)
+            if count.denominator != 1:
+                raise ModuleCheckError(f"N_{n},{m}({nu}, {lam}) = {count} is not an integer")
+            rows[index[nu]].append((j, int(count)))
+    return tuple(tuple(row) for row in rows)
 
 
 def assert_genuine_module(f: SymFunc, label: str = "") -> None:
@@ -195,24 +223,31 @@ class Multiplicities(NamedTuple):
     b_prime: int
 
 
-def _pair_trivial(f: SymFunc, n: int, restricted: bool) -> int:
-    probe = homogeneous([n - 1, 1]) if restricted else homogeneous(n)
-    val = f.inner(probe)
-    if val.denominator != 1:
-        raise ModuleCheckError(f"non-integer multiplicity {val}")
-    return int(val)
+def schur_multiplicity(values: tuple[int, ...], lam) -> int:
+    """<chi, s_lam> for integer class values of chi over ``partitions_of(n)``:
+    sum of chi(nu) |class of nu| chi^lam(nu) over nu, over n!, which must be
+    exact."""
+    lam = check_partition(lam)
+    total = sum(map(mul, values, _class_weights(lam)))
+    quotient, remainder = divmod(total, factorial(sum(lam)))
+    if remainder:
+        raise ModuleCheckError(f"non-integer multiplicity {total}/{sum(lam)}! of s{lam}")
+    return quotient
+
+
+@lru_cache(maxsize=None)
+def _class_weights(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """|class of nu| chi^lam(nu) for nu over ``partitions_of(n)``."""
+    n = sum(lam)
+    return tuple(factorial(n) // zee(nu) * character(lam, nu) for nu in partitions_of(n))
 
 
 def multiplicities(n: int, ranks) -> Multiplicities:
-    ranks = _ranks_tuple(n, ranks)
-    alpha = chain_characteristic(n, ranks)
-    beta = homology_characteristic(n, ranks)
-    return Multiplicities(
-        a=_pair_trivial(alpha, n, False),
-        a_prime=_pair_trivial(alpha, n, True),
-        b=_pair_trivial(beta, n, False),
-        b_prime=_pair_trivial(beta, n, True),
-    )
+    pairs = []
+    for values in (class_values(n, ranks), class_values(n, ranks, homology=True)):
+        trivial = schur_multiplicity(values, (n,))
+        pairs += [trivial, trivial + schur_multiplicity(values, (n - 1, 1))]
+    return Multiplicities(*pairs)
 
 
 # ---------------------------------------------------------------------------

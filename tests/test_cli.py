@@ -152,6 +152,55 @@ def test_degree_bound_refused_before_first_rank_set(capsys, monkeypatch):
     assert calls == []
 
 
+def test_suite_degree_refused_before_first_check(capsys, monkeypatch):
+    # conj-3.7 and even reach degree 2 max-n, orbit degree max-n
+    import parthom.checks as checks
+    import parthom.reps as reps
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("homology_characteristic", "chain_characteristic"):
+        monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
+    monkeypatch.setattr(reps, "MAX_DEGREE", 6)
+    for suite, max_n, degree in (("conj-3.7", "4", 8), ("even", "4", 8), ("orbit", "7", 7)):
+        code = main(["check", "--suite", suite, "--max-n", max_n, "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", suite
+        assert captured.err == f"error: degree {degree} exceeds supported bound 6\n"
+    assert calls == []
+
+
+def test_stability_report_refuses_max_n_past_bound_up_front(capsys, monkeypatch):
+    # the shift identities at n = max-n need degree max-n + 1
+    import parthom.checks as checks
+    import parthom.reps as reps
+
+    calls = []
+    real = checks.multiplicities
+
+    def counted(n, ranks):
+        calls.append((n, ranks))
+        return real(n, ranks)
+
+    monkeypatch.setattr(checks, "multiplicities", counted)
+    monkeypatch.setattr(reps, "MAX_DEGREE", 6)
+    code = main(["report", "--family", "stability", "--ranks", "2", "--k", "1",
+                 "--max-n", "6", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: --max-n 6 needs degree 7 for the shift identities; "
+                            "the supported bound is 6\n")
+    assert calls == []
+    assert main(["report", "--family", "stability", "--ranks", "2", "--k", "1",
+                 "--max-n", "5", "--no-cache"]) == 0
+
+
 def test_invalid_input_exit_2(capsys):
     assert main(["alpha", "--n", "30", "--ranks", "1", "--no-cache"]) == 2
     assert main(["homology", "--n", "6", "--poset", "bogus", "--no-cache"]) == 2
