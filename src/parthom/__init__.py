@@ -6,8 +6,9 @@ Subpackages by concern:
   plethysm, inner products, skewing, positivity certificates).
 * :mod:`parthom.poset` -- the refinement lattice of set partitions and its
   rank-selected, block-size-restricted and modular-deleted subposets.
-* :mod:`parthom.topology` -- order complexes, integer Smith normal form
-  homology, Moebius numbers, Lefschetz class functions.
+* :mod:`parthom.topology` -- order complexes, integer homology by
+  boundary-column reduction with clearing, Moebius numbers, Lefschetz
+  class functions.
 * :mod:`parthom.reps` -- chain and homology module characteristics, the
   plethystic recurrences, Euler/simsun numbers and relatives.
 * :mod:`parthom.checks` -- stability reports and conjecture checkers.

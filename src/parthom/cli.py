@@ -167,6 +167,8 @@ def _result_table(args) -> dict:
     if args.family == "bS":
         if args.n is None:
             raise ValueError("table --family bS needs --n")
+        if args.n < 2:
+            raise ValueError(f"table --family bS needs a ground size --n >= 2, got {args.n}")
         columns = ("a_S", "a'_S", "b_S", "b'_S")
         rows = [
             {"n": args.n, "S": list(S), **dict(zip(columns, multiplicities(args.n, S)))}

@@ -1,17 +1,28 @@
 """Integer Smith normal form for sparse matrices.
 
-Two phases.  Phase 1 passes once over the columns, sparsest (by starting
-population) first.  A column that still holds an entry of absolute value 1
-pivots there, in the sparsest row that has one, to limit fill-in: row
-operations clear the rest of the column, which keeps every entry an
-integer, and the pivot row is dropped as one unit invariant factor.  The
-leftover matrix, usually tiny, is diagonalized by the textbook method: pick
-a minimal-absolute-value pivot, Euclidean row and column steps until the
-pivot divides its row and column, then clear.  Fill-in can create units in
-columns phase 1 had already passed, so phase 2 may still meet them.  The
-phase-2 diagonal is finally normalized into a divisibility chain by pairwise
-gcd/lcm exchanges, which preserves the cokernel group, and the phase-1 units
-go in front.
+:func:`reduce_columns` takes a matrix as a stream of columns and reduces
+each against the pivots found so far, keyed by their "low" (largest) row.
+When the pivot's low entry divides the column's, a multiple of the pivot is
+subtracted; otherwise the subtraction leaves a remainder smaller than the
+pivot entry, and that column becomes the pivot in a Euclidean step.  So
+every low ends with exactly one pivot, and the pivots span the column
+lattice.  A pivot whose low entry is a unit splits off as one unit
+invariant factor; the other pivots have every unit-pivot row cleared out of
+them by the unit pivots, which leaves a small residual matrix for
+:func:`invariant_factors`.
+
+:func:`invariant_factors` has two phases.  Phase 1 passes once over the
+columns, sparsest (by starting population) first.  A column that still
+holds an entry of absolute value 1 pivots there, in the sparsest row that
+has one, to limit fill-in: row operations clear the rest of the column,
+which keeps every entry an integer, and the pivot row is dropped as one
+unit invariant factor.  The leftover matrix, usually tiny, is diagonalized
+by the textbook method: pick a minimal-absolute-value pivot, Euclidean row
+and column steps until the pivot divides its row and column, then clear.
+Fill-in can create units in columns phase 1 had already passed, so phase 2
+may still meet them.  The phase-2 diagonal is finally normalized into a
+divisibility chain by pairwise gcd/lcm exchanges, which preserves the
+cokernel group, and the phase-1 units go in front.
 
 Everything runs over Python integers, so no overflow and no modular
 shortcuts; torsion comes out exactly.
@@ -19,6 +30,7 @@ shortcuts; torsion comes out exactly.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -175,3 +187,56 @@ def _divisibility_chain(factors: list[int]) -> list[int]:
                     out[a], out[b] = g, out[a] // g * out[b]
                     changed = True
     return sorted(out)
+
+
+def reduce_columns(columns) -> tuple[list[int], set[int]]:
+    """Invariant factors of the matrix whose columns are the given
+    ``{row: value}`` dicts (consumed and mutated), and the rows of its unit
+    pivots."""
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            _add_multiple(col, pivot, -(col[low] // pivot[low]))
+            if low in col:
+                # the remainder is smaller than the pivot entry: a Euclidean step
+                pivots[low], col = col, pivot
+    units = {low: col for low, col in pivots.items() if abs(col[low]) == 1}
+    residual = [_clear_unit_rows(col, units) for low, col in pivots.items() if low not in units]
+    rows = {i: r for r, i in enumerate(sorted({i for col in residual for i in col}))}
+    mat = SparseIntMatrix.from_columns(
+        len(rows), ({rows[i]: v for i, v in col.items()} for col in residual))
+    return [1] * len(units) + invariant_factors(mat), set(units)
+
+
+def _add_multiple(col: dict[int, int], source: dict[int, int], factor: int) -> None:
+    if not factor:
+        return
+    for i, v in source.items():
+        w = col.get(i, 0) + factor * v
+        if w:
+            col[i] = w
+        else:
+            del col[i]
+
+
+def _clear_unit_rows(col: dict[int, int], units: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Subtract unit pivots from *col* until no unit-pivot row is left in it,
+    largest row first: a pivot only touches rows up to its own low."""
+    heap = [-i for i in col if i in units]
+    heapify(heap)
+    while heap:
+        i = -heappop(heap)
+        v = col.get(i)
+        if not v:
+            continue
+        unit = units[i]
+        for i2 in unit:
+            if i2 in units and i2 not in col:
+                heappush(heap, -i2)
+        _add_multiple(col, unit, -v * unit[i])  # unit[i] in {1, -1}
+    return col

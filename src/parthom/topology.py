@@ -3,9 +3,19 @@
 The order complex of a view has one d-simplex for every (d+1)-element
 chain; the complex is augmented (the empty simplex sits in dimension -1),
 so all homology is reduced.  Simplex vertices are ordered by poset rank,
-which fixes orientations once and for all.
+which fixes orientations once and for all.  The complex keeps only the
+face-row tuple of each simplex: entry i is the index of the face without
+vertex i, with the implicit sign (-1)^i, and that is all the d^2 = 0 check
+and the homology read; :func:`boundary_matrix` builds a matrix on demand.
 
-Homology is computed from Smith normal forms of the boundary matrices:
+Homology reduces the boundary columns top-down (:func:`snf.reduce_columns`):
+each column of bd_d is reduced against one pivot per low row, with
+Euclidean steps where the pivot's entry does not divide the column's.  With
+clearing, the rows of the unit pivots of bd_{d+1} are never built as
+columns of bd_d: the unit-pivot submatrix is unimodular and
+bd_d bd_{d+1} = 0, so those columns are integer combinations of the others
+and leave the invariant factors alone.  Only the non-unit pivots, with the
+unit-pivot rows cleared out of them, reach the Smith normal form.  Then
 betti_d = f_d - rank(bd_d) - rank(bd_{d+1}) and the torsion of H_d is the
 set of invariant factors of bd_{d+1} exceeding 1.  The reduced Euler
 characteristic of the complex equals the Moebius number of the view with
@@ -24,7 +34,7 @@ from .errors import ConcentrationError, FeasibilityError
 from .partitions import partitions_of
 from .poset import PosetView, chain_sums
 from .setparts import canonical_permutation
-from .snf import SparseIntMatrix, invariant_factors
+from .snf import SparseIntMatrix, reduce_columns
 
 #: refuse complexes with more simplices than this
 MAX_SIMPLICES = 250_000
@@ -33,57 +43,61 @@ MAX_SIMPLICES = 250_000
 class ChainComplexZ:
     """Augmented simplicial chain complex of an order complex over Z."""
 
-    __slots__ = ("view_spec", "simplices", "boundaries")
+    __slots__ = ("view_spec", "faces")
 
-    def __init__(self, view_spec: str, simplices, boundaries):
+    def __init__(self, view_spec: str, faces):
         self.view_spec = view_spec
-        #: simplices[d] for d >= 0: tuples of element indices, rank-increasing
-        self.simplices = simplices
-        #: boundaries[d]: SparseIntMatrix of bd_d; rows index (d-1)-simplices,
-        #: with a single augmentation row for d = 0
-        self.boundaries = boundaries
+        #: faces[d][k]: the face-row tuple of d-simplex k, whose entry i is the
+        #: index of the (d-1)-face without vertex i and carries the sign
+        #: (-1)^i; every vertex has the tuple (0,), the augmentation row
+        self.faces = faces
 
     def top_dimension(self) -> int:
-        return len(self.simplices) - 1
+        return len(self.faces) - 1
 
     def f_vector(self) -> dict[int, int]:
         out = {-1: 1}
-        for d, simp in enumerate(self.simplices):
-            out[d] = len(simp)
+        for d, level in enumerate(self.faces):
+            out[d] = len(level)
         return out
 
     def reduced_euler(self) -> int:
         total = -1
-        for d, simp in enumerate(self.simplices):
-            total += len(simp) if d % 2 == 0 else -len(simp)
+        for d, level in enumerate(self.faces):
+            total += len(level) if d % 2 == 0 else -len(level)
         return total
 
     def check_boundary_squares_to_zero(self) -> None:
-        for d in range(1, len(self.boundaries)):
-            upper = self.boundaries[d]
-            lower = self.boundaries[d - 1]
-            for j in range(upper.ncols):
-                acc: dict[int, int] = {}
-                for i in upper.cols.get(j, ()):
-                    v = upper.rows[i][j]
-                    for i2 in lower.cols.get(i, ()):
-                        acc[i2] = acc.get(i2, 0) + v * lower.rows[i2][i]
-                if any(acc.values()):
-                    raise AssertionError(f"boundary composition nonzero at dim {d}, col {j}")
+        # bd_{d-1} bd_d e_k sums (-1)^(i+j) over face j of face i of simplex k;
+        # it vanishes exactly when the rows of even i + j and the rows of odd
+        # i + j are the same multiset
+        for d in range(1, len(self.faces)):
+            lower = self.faces[d - 1]
+            for k, face in enumerate(self.faces[d]):
+                even: list[int] = []
+                odd: list[int] = []
+                for i, f in enumerate(face):
+                    rows = lower[f]
+                    even += rows[i % 2::2]
+                    odd += rows[1 - i % 2::2]
+                if sorted(even) != sorted(odd):
+                    raise AssertionError(f"boundary composition nonzero at dim {d}, col {k}")
 
 
 def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
-    """All chains of the view as an augmented simplicial complex."""
+    """All chains of the view as an augmented simplicial complex, kept as
+    the face-row tuples of its simplices."""
     # extending each chain of a sorted level by its sorted successors keeps
     # the next level sorted.  The size of the next level is counted before it
     # is built, and an element's successor list is built when a chain first
-    # ends in it, so the count passes the cap before the rest is built
+    # ends in it, so the count passes the cap before the rest is built.  Only
+    # two levels of chains are alive at a time: a level's faces are looked up
+    # in the one below, which is then dropped
     succ: dict[int, list[int]] = {}
-    simplices: list[list[tuple[int, ...]]] = []
     level = [(i,) for i in range(len(view))]
+    faces = [[(0,)] * len(level)] if level else []
     count = len(level)
     while level:
-        simplices.append(level)
         for c in level:
             if c[-1] not in succ:
                 succ[c[-1]] = view.above(c[-1])
@@ -92,26 +106,25 @@ def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
                 raise FeasibilityError(
                     f"order complex of {view.describe()} exceeds {MAX_SIMPLICES} simplices"
                 )
+        index = {c: k for k, c in enumerate(level)}
         level = [c + (j,) for c in level for j in succ[c[-1]]]
-
-    boundaries = []
-    if simplices:
-        aug = [{0: 1} for _ in simplices[0]]
-        boundaries.append(SparseIntMatrix.from_columns(1, aug))
-    for d in range(1, len(simplices)):
-        index = {s: i for i, s in enumerate(simplices[d - 1])}
-        cols = []
-        for s in simplices[d]:
-            col: dict[int, int] = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                col[index[face]] = -1 if i % 2 else 1
-            cols.append(col)
-        boundaries.append(SparseIntMatrix.from_columns(len(simplices[d - 1]), cols))
-    cc = ChainComplexZ(view.describe(), simplices, boundaries)
+        if level:
+            faces.append([tuple(index[s[:i] + s[i + 1:]] for i in range(len(s))) for s in level])
+    cc = ChainComplexZ(view.describe(), faces)
     if check:
         cc.check_boundary_squares_to_zero()
     return cc
+
+
+def boundary_matrix(cc: ChainComplexZ, d: int) -> SparseIntMatrix:
+    """bd_d as a matrix, built on demand from the face-row tuples; rows
+    index (d-1)-simplices, with the single augmentation row for d = 0."""
+    nrows = len(cc.faces[d - 1]) if d else 1
+    return SparseIntMatrix.from_columns(nrows, map(_column, cc.faces[d]))
+
+
+def _column(face: tuple[int, ...]) -> dict[int, int]:
+    return {row: -1 if i % 2 else 1 for i, row in enumerate(face)}
 
 
 class HomologyResult:
@@ -156,19 +169,21 @@ class HomologyResult:
 
 
 def homology(cc: ChainComplexZ) -> HomologyResult:
-    """Reduced integer simplicial homology via Smith normal form."""
-    factors: dict[int, list[int]] = {}
-    ranks: dict[int, int] = {}
-    for d, mat in enumerate(cc.boundaries):
-        fs = invariant_factors(mat)
-        factors[d] = fs
-        ranks[d] = len(fs)
+    """Reduced integer simplicial homology, reducing the boundaries top-down
+    with clearing."""
     top = cc.top_dimension()
+    factors: dict[int, list[int]] = {}
+    cleared: set[int] = set()
+    for d in range(top, -1, -1):
+        # a unit pivot of bd_{d+1} at row k proves column k of bd_d an integer
+        # combination of the others, so the column is never built
+        columns = (_column(face) for k, face in enumerate(cc.faces[d]) if k not in cleared)
+        factors[d], cleared = reduce_columns(columns)
     betti = {}
     torsion = {}
     fvec = cc.f_vector()
     for d in range(-1, top + 1):
-        betti[d] = fvec[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        betti[d] = fvec[d] - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
         torsion[d] = [f for f in factors.get(d + 1, []) if f > 1]
     if betti.get(-1) == 0:
         del betti[-1]
@@ -235,7 +250,8 @@ def export_boundaries(cc: ChainComplexZ) -> str:
     ``dim <d> <rows> <cols> <nnz>`` followed by ``<row> <col> <value>``
     lines (0-indexed), suitable for external verification."""
     lines = []
-    for d, mat in enumerate(cc.boundaries):
+    for d in range(len(cc.faces)):
+        mat = boundary_matrix(cc, d)
         lines.append(f"dim {d} {mat.nrows} {mat.ncols} {mat.nnz()}")
         for i, j, v in sorted(mat.entries(), key=lambda t: (t[1], t[0])):
             lines.append(f"{i} {j} {v}")

@@ -209,6 +209,23 @@ def test_invalid_input_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_table_bs_refuses_ground_size_below_2(capsys, monkeypatch):
+    import parthom.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "multiplicities", lambda n, S: calls.append(S))
+    for n in ("-3", "0", "1"):
+        code = main(["table", "--family", "bS", "--n", n, "--format", "json", "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", n
+        assert captured.err == f"error: table --family bS needs a ground size --n >= 2, got {n}\n"
+    assert calls == []
+    monkeypatch.undo()
+    # n = 2 has one rank set, the empty one
+    code, out = run(capsys, "table", "--family", "bS", "--n", "2", "--format", "json", "--no-cache")
+    assert code == 0 and [row["S"] for row in json.loads(out)["rows"]] == [[]]
+
+
 def test_check_suite_that_checks_nothing_exit_2(capsys):
     for suite, max_n in (("even", "1"), ("method", "2"), ("conj-3.9", "1")):
         code, out = run(capsys, "check", "--suite", suite, "--max-n", max_n,

@@ -19,6 +19,7 @@ from parthom.reps import homology_characteristic, lie_character
 from parthom.snf import SparseIntMatrix, invariant_factors
 from parthom.symfunc import H
 from parthom.topology import (
+    boundary_matrix,
     concentrated_character,
     export_boundaries,
     homology,
@@ -135,14 +136,21 @@ def test_empty_view_complex():
 def test_boundary_squares_to_zero_is_checked():
     for view in (full_view(5), modular_deleted_view(5, 3), max_block_size_view(6, 3)):
         order_complex(view).check_boundary_squares_to_zero()
-    # one flipped sign in any boundary breaks the composition with a neighbour
+    # one wrong face row in any boundary breaks the composition with a
+    # neighbour: the row of another face, two rows swapped, which flips both
+    # their signs, or one face in every position, whose rows cancel as sets
+    # but not with their multiplicities
     cc = order_complex(full_view(5))
-    for bd in cc.boundaries[1:]:
-        i, j, v = next(bd.entries())
-        bd._set(i, j, -v)
-        with pytest.raises(AssertionError):
-            cc.check_boundary_squares_to_zero()
-        bd._set(i, j, v)
+    for d in range(1, len(cc.faces)):
+        level = cc.faces[d]
+        face = level[0]
+        other = next(f for f in range(len(cc.faces[d - 1])) if f not in face)
+        for bad in ((other,) + face[1:], (face[1], face[0]) + face[2:], (face[0],) * len(face)):
+            level[0] = bad
+            with pytest.raises(AssertionError):
+                cc.check_boundary_squares_to_zero()
+        level[0] = face
+    cc.check_boundary_squares_to_zero()
 
 
 def test_order_complex_refused_before_every_successor_list(monkeypatch):
@@ -169,6 +177,13 @@ def test_export_boundaries_format():
     lines = text.strip().split("\n")
     assert lines[0] == "dim 0 1 3 3"
     assert lines[1:] == ["0 0 1", "0 1 1", "0 2 1"]
+    # the matrices are built on demand from the face rows, one block per dimension
+    cc = order_complex(full_view(4))
+    text = export_boundaries(cc)
+    headers = [line for line in text.split("\n") if line.startswith("dim")]
+    assert headers == ["dim 0 1 13 13", "dim 1 13 18 36"]
+    assert "\n".join(f"{i} {j} {v}" for i, j, v in sorted(
+        boundary_matrix(cc, 1).entries(), key=lambda t: (t[1], t[0]))) in text
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +335,9 @@ def test_betti_numbers_agree_with_rational_ranks():
                   rank_selected_view(6, [2, 4])):
         cc = order_complex(view)
         hom = homology(cc)
-        ranks = {d: rational_rank(m) for d, m in enumerate(cc.boundaries)}
+        ranks = {d: rational_rank(boundary_matrix(cc, d)) for d in range(len(cc.faces))}
         fvec = cc.f_vector()
-        for d in range(len(cc.simplices)):
+        for d in range(len(cc.faces)):
             expected = fvec[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
             assert hom.betti[d] == expected, (view.describe(), d)
 
