@@ -27,6 +27,12 @@ by the restricted-growth string every partition carries.  Every chain
 count -- maximal chains, fixed maximal chains, Moebius numbers and
 Lefschetz values -- is the one dynamic program :func:`chain_sums`, which
 visits the kept elements in rank order and pushes values up these edges.
+
+For a permutation the same lookups run on generated strings only:
+:meth:`PosetView.fixed_by` generates the partitions it fixes at each rank,
+and ``above(i, perm=...)`` the groupings of the blocks of a fixed element
+that are invariant under the permutation induced on those blocks, i.e.
+the fixed merges.  Nothing that the permutation moves is visited.
 """
 
 from __future__ import annotations
@@ -35,7 +41,13 @@ from functools import lru_cache
 
 from .errors import FeasibilityError
 from .partitions import check_partition
-from .setparts import SetPartition, canonical_permutation, restricted_growth, set_partitions
+from .setparts import (
+    SetPartition,
+    canonical_permutation,
+    growth_table,
+    restricted_growth,
+    set_partitions,
+)
 
 #: largest ground set for which views will materialize elements
 MAX_GROUND = 10
@@ -122,32 +134,50 @@ class PosetView:
 
     # -- order structure --------------------------------------------------------
 
-    def above(self, i: int, ranks=None) -> list[int]:
+    def above(self, i: int, ranks=None, perm=None) -> list[int]:
         """Indices of the view elements above element *i* at the given ranks
         (default: every higher rank of the view), in increasing order.  Each
-        grouping of its k blocks into n - r groups is one merge at rank r."""
+        grouping of its k blocks into n - r groups is one merge at rank r.
+
+        With *perm* (images of 1..n), which must fix element *i*, only the
+        merges that *perm* fixes: the groupings invariant under the
+        permutation of the blocks that *perm* induces."""
         x = self._elements[i]
         if ranks is None:
             ranks = [r for r in self._by_rank if r > x.rank]
         # the index is keyed by restricted-growth strings (block_of); merging
         # block b into group g[b] turns the string of x into g[block_of[e]]
-        index, growth = self._index, x.block_of
+        index, growth, k = self._index, x.block_of, len(x.blocks)
+        moved = None
+        if perm is not None:
+            # block b goes to the block holding the image of its first item
+            moved = [growth[perm[b[0] - 1] - 1] for b in x.blocks]
+            if moved == list(range(k)):
+                moved = None
+        # lists, not iterators, feed tuple() here: a tuple built from an
+        # iterator is over-allocated and resized, which raised the chain
+        # path's peak RSS by about 0.3 MB
         out = []
         for r in ranks:
-            for grouping in _groupings(len(x.blocks), self.n - r):
-                j = index.get(tuple(map(grouping.__getitem__, growth)))
+            if moved is None:
+                groupings = growth_table(k, self.n - r)
+            else:
+                groupings = restricted_growth(k, self.n - r, moved)
+            for grouping in groupings:
+                j = index.get(tuple([grouping[b] for b in growth]))
                 if j is not None:
                     out.append(j)
         out.sort()
         return out
 
-    def _covers(self, i: int) -> list[int]:
-        """Indices of the elements covering element *i* inside the view."""
+    def _covers(self, i: int, perm=None) -> list[int]:
+        """Indices of the elements covering element *i* inside the view; with
+        *perm*, which must fix element *i*, only the covers it fixes."""
         if self.rank_selected:
             # intervals of the lattice are graded and the view keeps whole
             # ranks, so every cover sits at the next selected rank
             r = self._elements[i].rank
-            return self.above(i, [s for s in self._by_rank if s > r][:1])
+            return self.above(i, [s for s in self._by_rank if s > r][:1], perm)
         # comparabilities minus those implied through a third element; in
         # increasing (rank) order each element is seen after all below it
         covers, implied = [], set()
@@ -155,6 +185,11 @@ class PosetView:
             if j not in implied:
                 covers.append(j)
                 implied.update(self.above(j))
+        if perm is not None:
+            # whether x < y is a cover depends on every element between
+            # them, fixed or not, so the fixed covers are filtered afterwards
+            fixed = set(self.above(i, perm=perm))
+            covers = [j for j in covers if j in fixed]
         return covers
 
     def _minimal(self) -> set[int]:
@@ -166,16 +201,26 @@ class PosetView:
             above_some.update(self.above(i))
         return set(range(len(self._elements))) - above_some
 
+    def _maximal(self) -> range | set[int]:
+        """Indices of the maximal elements of the view; on a rank-selected
+        view, the range of indices of its top rank."""
+        m = len(self._elements)
+        if self.rank_selected and m:
+            return range(m - len(self._by_rank[self.ranks[-1]]), m)
+        return {i for i in range(m) if not self.above(i)}
+
     def fixed_by(self, perm) -> dict[int, tuple[SetPartition, ...]]:
-        """Elements fixed (as partitions) by the permutation, by rank: those
-        whose pairs (block of e, block of perm(e)) define a function."""
+        """Elements fixed (as partitions) by the permutation, by rank: the
+        restricted-growth strings *perm* fixes at each rank of the view,
+        generated as such and looked up in the view."""
         if len(perm) != self.n:
             raise ValueError("permutation degree does not match ground set")
         images = [p - 1 for p in perm]
+        index, elems = self._index, self._elements
         out = {}
-        for r, elems in self._by_rank.items():
-            fixed = tuple(x for x in elems if len(x.blocks) == len(
-                set(zip(x.block_of, map(x.block_of.__getitem__, images)))))
+        for r in self._by_rank:
+            found = map(index.get, restricted_growth(self.n, self.n - r, images))
+            fixed = tuple(elems[j] for j in found if j is not None)
             if fixed:
                 out[r] = fixed
         return out
@@ -189,7 +234,7 @@ class PosetView:
         return tuple(self._elements[i] for i in sorted(self._minimal()))
 
     def maximal_elements(self) -> tuple[SetPartition, ...]:
-        return tuple(x for i, x in enumerate(self._elements) if not self.above(i))
+        return tuple(self._elements[i] for i in sorted(self._maximal()))
 
     # -- chains -----------------------------------------------------------------
 
@@ -221,21 +266,18 @@ class PosetView:
         return chain_sums(self)
 
 
-@lru_cache(maxsize=None)
-def _groupings(k: int, groups: int) -> tuple[tuple[int, ...], ...]:
-    """Every grouping of k blocks into *groups* groups, numbered by their
-    first block, so that a merge's string is again restricted-growth."""
-    return tuple(restricted_growth(k, groups))
-
-
 def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
     """The one dynamic program over chains of kept elements: the view
     elements fixed by *perm* (default: all of them), visited in index order,
-    which is rank order.
+    which is rank order.  Values move only along edges between kept
+    elements, which :meth:`PosetView.above` generates as fixed merges, so
+    on rank-selected views, and for ``covers=False`` on any view, the work
+    follows the number of kept elements.
 
     With ``covers=True``: the number of maximal chains of the view made of
     kept elements.  Values start at 1 on minimal elements, add up along
-    cover edges and are summed at elements with no cover.  With
+    cover edges and are summed at maximal elements of the view (an element
+    with covers none of which is kept ends no maximal chain).  With
     ``covers=False``: the sum over chains of kept elements, the empty one
     included, of (-1)^(length - 1), i.e. the reduced Euler characteristic
     of their order complex.  Values start at 1 and subtract along all edges.
@@ -244,32 +286,29 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
     if not m:
         return 1 if covers else -1
     if perm is None:
-        kept = bytearray(b"\1") * m
+        kept = range(m)
     else:
-        kept = bytearray(m)
-        for elems in view.fixed_by(perm).values():
-            for x in elems:
-                kept[view._index[x.block_of]] = 1
-    starts = view._minimal() if covers else ()
+        index = view._index
+        kept = (index[x.block_of] for elems in view.fixed_by(perm).values() for x in elems)
+    if covers:
+        starts, ends = view._minimal(), view._maximal()
     pending = [0] * m
     total = 0 if covers else -1
-    for i in range(m):
-        if not kept[i]:
-            continue
+    for i in kept:
         if covers:
             value = pending[i] + (i in starts)
             if not value:
                 continue
-            up = view._covers(i)
-            if not up:
+            if i in ends:
                 total += value
+                continue
+            up = view._covers(i, perm)
         else:
             value = 1 - pending[i]
             total += value
-            up = view.above(i)
+            up = view.above(i, perm=perm)
         for j in up:
-            if kept[j]:
-                pending[j] += value
+            pending[j] += value
     return total
 
 

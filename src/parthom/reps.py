@@ -77,9 +77,16 @@ def _chain_values(n: int, ranks: tuple[int, ...], method: str) -> tuple[int, ...
     if method == "chains":
         if n > MAX_CHAIN_DEGREE:
             raise FeasibilityError(f"chain path refused for n={n} > {MAX_CHAIN_DEGREE}")
-        view = rank_selected_view(n, ranks)
-        return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
+        return _fixed_chain_values(n, ranks)
     raise ValueError(f"unknown method {method!r} (use 'recurrence' or 'chains')")
+
+
+@lru_cache(maxsize=None)
+def _fixed_chain_values(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Class values of the alpha module by the chain method: the maximal
+    chains of the rank-selected view fixed by each cycle type."""
+    view = rank_selected_view(n, ranks)
+    return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
 
 
 def homology_characteristic(

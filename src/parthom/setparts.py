@@ -3,10 +3,15 @@
 The canonical form of a partition sorts each block and then sorts blocks by
 their minimum, so equality and hashing are structural.  Generation with a
 prescribed block count walks restricted-growth strings, which yields each
-partition exactly once in a stable, documented order.
+partition exactly once in a stable, documented order.  Given a permutation,
+the same walk yields only the strings of the partitions it fixes, pruning
+a prefix as soon as the map it induces on the groups stops being a partial
+bijection, so the fixed partitions are generated rather than filtered.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .partitions import check_partition
 
@@ -83,32 +88,76 @@ class SetPartition:
         return cls(n, blocks)
 
 
-def restricted_growth(n: int, k: int):
+def restricted_growth(n: int, k: int, perm=None):
     """Yield, in lexicographic order, every restricted-growth string of
-    length n with k values: item i goes to group g[i], numbered by first item."""
+    length n with k values: item i goes to group g[i], numbered by first item.
+
+    With *perm*, the tuple of images of items 0..n-1, yield only the strings
+    whose partition *perm* maps to itself.  Items are assigned in order, and
+    each pair (g[i], g[perm[i]]) is entered, once both items are assigned,
+    into the partial map that *perm* induces on the groups and into its
+    inverse.  A prefix is extended only while that map can still be a
+    bijection, i.e. stays a function and one-to-one; once every item is
+    assigned it is defined on every group, so it is a bijection.
+    """
     if k < 0 or k > n:
         return
     if n == 0:
         yield ()
         return
-    assignment = [0] * n
+    if perm is not None and all(j == i for i, j in enumerate(perm)):
+        perm = None  # the identity fixes every string
+    if perm is not None:
+        # the pairs (j, perm[j]) whose later item is i, so complete at item i
+        completed = [[] for _ in range(n)]
+        for j, q in enumerate(perm):
+            completed[max(j, q)].append((j, q))
+        image_of = [-1] * k  # group -> the group perm maps it to
+        source_of = [-1] * k  # the inverse map
+        linked = [[] for _ in range(n)]  # groups whose image item i entered
+    # depth-first, without recursion: g[i] is the group tried for item i
+    # (-1 before the first), opened[i] the groups opened by items before i
+    g, opened = [-1] * n, [0] * (n + 1)
+    i = 0
+    while i >= 0:
+        if perm is not None:
+            for a in linked[i]:
+                source_of[image_of[a]] = -1
+                image_of[a] = -1
+            linked[i].clear()
+        b, top = g[i] + 1, opened[i]
+        if b == 0 and top + n - 1 - i < k:
+            b = top  # too few items left to join an open group
+        if b > top or b == k:
+            g[i] = -1
+            i -= 1
+            continue
+        g[i] = b
+        if perm is not None:
+            clash = False
+            for j, q in completed[i]:
+                a, c = g[j], g[q]
+                if image_of[a] == c:
+                    continue
+                if image_of[a] >= 0 or source_of[c] >= 0:
+                    clash = True
+                    break
+                image_of[a], source_of[c] = c, a
+                linked[i].append(a)
+            if clash:
+                continue  # the links made so far are undone on the next pass
+        opened[i + 1] = top + (b == top)
+        if i + 1 < n:
+            i += 1
+        elif opened[n] == k:
+            yield tuple(g)
 
-    def rec(i: int, nblocks: int):
-        if i == n:
-            if nblocks == k:
-                yield tuple(assignment)
-            return
-        remaining = n - i - 1
-        # join an existing block if enough elements remain to open the rest
-        if nblocks + remaining >= k:
-            for j in range(min(nblocks, k)):
-                assignment[i] = j
-                yield from rec(i + 1, nblocks)
-        if nblocks < k:
-            assignment[i] = nblocks
-            yield from rec(i + 1, nblocks + 1)
 
-    yield from rec(0, 0)
+@lru_cache(maxsize=None)
+def growth_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every restricted-growth string of length n with k values, cached: the
+    groupings of n blocks into k groups that block merges reuse."""
+    return tuple(restricted_growth(n, k))
 
 
 def set_partitions(n: int, k: int):

@@ -2,15 +2,19 @@
 against a brute-force oracle, on random small views.
 
 Every relation in the oracle is a ``SetPartition.refines`` test on a pair
-of view elements, the pair scan that ``parthom.poset`` replaced.  It is
-kept here only to check the fast path.
+of view elements, the pair scan that ``parthom.poset`` replaced, and every
+fixed element is found by relabeling it with ``act``, the filter that the
+generated fixed strings replaced.  Both are kept here only to check the
+fast path.
 """
+
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
 from parthom.partitions import partitions_of
-from parthom.poset import fixed_chain_count, parse_view
-from parthom.setparts import act, canonical_permutation, set_partitions
+from parthom.poset import chain_sums, fixed_chain_count, parse_view
+from parthom.setparts import act, canonical_permutation, restricted_growth, set_partitions
 from parthom.topology import lefschetz_class_function, mobius_number, order_complex
 
 
@@ -62,12 +66,26 @@ def fixed(g, elems) -> list:
     return [x for x in elems if act(g, x) == x]
 
 
-def oracle_reduced_euler(elems) -> int:
+def oracle_fixed_strings(perm, k) -> list:
+    """The restricted-growth strings of length len(perm) with k values whose
+    partition the permutation (images of items 0..n-1) maps to itself."""
+    n, images = len(perm), tuple(p + 1 for p in perm)
+    return [g for g, x in zip(restricted_growth(n, k), set_partitions(n, k))
+            if act(images, x) == x]
+
+
+def oracle_below(view) -> dict:
+    """Each view element mapped to the set of view elements under it."""
+    elems = view.elements()
+    return {y: {x for x in elems if less(x, y)} for y in elems}
+
+
+def oracle_reduced_euler(elems, below) -> int:
     """Sum over chains of *elems*, the empty one included, of
     (-1)^(length - 1), by the Moebius recursion on pairs."""
     t = []
     for i, x in enumerate(elems):
-        t.append(1 - sum(t[j] for j in range(i) if less(elems[j], x)))
+        t.append(1 - sum(t[j] for j in range(i) if elems[j] in below[x]))
     return -1 + sum(t)
 
 
@@ -90,7 +108,22 @@ def oracle_f_vector(view) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the differential test
+# the differential tests
+
+def test_fixed_strings_match_act_filter_for_every_small_permutation():
+    for n in range(1, 6):
+        for perm in permutations(range(n)):
+            for k in range(n + 1):
+                assert list(restricted_growth(n, k, perm)) == oracle_fixed_strings(perm, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((6, 7)).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.integers(1, n))))
+def test_fixed_strings_match_act_filter_for_random_permutations(case):
+    perm, k = case
+    assert list(restricted_growth(len(perm), k, tuple(perm))) == oracle_fixed_strings(perm, k)
+
 
 @st.composite
 def views(draw):
@@ -123,14 +156,34 @@ def test_view_order_and_chain_sums_match_refines_oracle(view, data):
     chains = oracle_maximal_chains(view)
     assert view.count_maximal_chains() == len(chains)
     assert sorted(view.maximal_chains()) == sorted(chains)
-    mu = data.draw(st.sampled_from(partitions_of(view.n)), label="cycle type")
-    g = canonical_permutation(mu, view.n)
-    assert fixed_chain_count(view, mu) == sum(1 for c in chains if len(fixed(g, c)) == len(c))
+    below = oracle_below(view)
+    lefschetz = lefschetz_class_function(view).values
+    for mu in partitions_of(view.n):
+        g = canonical_permutation(mu, view.n)
+        fixed_chains, reduced_euler = check_fixed_part(view, g, chains, below)
+        assert fixed_chain_count(view, mu) == fixed_chains
+        assert lefschetz[mu] == reduced_euler
     perm = tuple(data.draw(st.permutations(range(1, view.n + 1)), label="permutation"))
-    for h in (g, perm):
-        by_rank = {r: tuple(fixed(h, elems)) for r, elems in view.elements_by_rank().items()}
-        assert view.fixed_by(h) == {r: elems for r, elems in by_rank.items() if elems}
-    assert mobius_number(view) == oracle_reduced_euler(view.elements())
-    lefschetz = oracle_reduced_euler(fixed(g, view.elements()))
-    assert lefschetz_class_function(view).values[mu] == lefschetz
+    fixed_chains, reduced_euler = check_fixed_part(view, perm, chains, below)
+    assert chain_sums(view, perm) == fixed_chains
+    assert chain_sums(view, perm, covers=False) == reduced_euler
+    assert mobius_number(view) == oracle_reduced_euler(view.elements(), below)
     assert order_complex(view, check=False).f_vector() == oracle_f_vector(view)
+
+
+def check_fixed_part(view, g, chains, below) -> tuple[int, int]:
+    """Check the elements and merges that *g* fixes against the ``act``
+    filter; return the oracle's number of fixed maximal chains and the
+    reduced Euler characteristic of the fixed elements."""
+    elems = view.elements()
+    kept = fixed(g, elems)
+    kept_set = set(kept)
+    by_rank = {r: tuple(x for x in xs if x in kept_set)
+               for r, xs in view.elements_by_rank().items()}
+    assert view.fixed_by(g) == {r: xs for r, xs in by_rank.items() if xs}
+    kept_index = {i for i, x in enumerate(elems) if x in kept_set}
+    for i in sorted(kept_index):
+        assert view.above(i, perm=g) == [j for j in view.above(i) if j in kept_index]
+        assert view._covers(i, g) == [j for j in view._covers(i) if j in kept_index]
+    fixed_chains = sum(1 for c in chains if kept_set.issuperset(c))
+    return fixed_chains, oracle_reduced_euler(kept, below)

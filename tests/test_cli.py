@@ -201,6 +201,27 @@ def test_stability_report_refuses_max_n_past_bound_up_front(capsys, monkeypatch)
                  "--max-n", "5", "--no-cache"]) == 0
 
 
+def test_method_suite_builds_each_rank_selected_view_once(capsys, monkeypatch):
+    # the chain path's class values are memoized per (n, ranks), so the beta
+    # inclusion-exclusion reuses the alphas; n = 3..6 has 2 + 4 + 8 + 16 rank sets
+    import parthom.poset as poset
+    import parthom.reps as reps
+
+    builds = []
+    real = poset.PosetView.__init__
+
+    def counted(self, n, spec, *args, **kwargs):
+        builds.append((n, spec))
+        real(self, n, spec, *args, **kwargs)
+
+    monkeypatch.setattr(poset.PosetView, "__init__", counted)
+    reps._fixed_chain_values.cache_clear()
+    code, out = run(capsys, "check", "--suite", "method", "--max-n", "6",
+                    "--format", "json", "--no-cache")
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(builds) == len(set(builds)) == 30
+
+
 def test_invalid_input_exit_2(capsys):
     assert main(["alpha", "--n", "30", "--ranks", "1", "--no-cache"]) == 2
     assert main(["homology", "--n", "6", "--poset", "bogus", "--no-cache"]) == 2

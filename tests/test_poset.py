@@ -310,6 +310,42 @@ def test_fixed_chain_count_four_cycle():
     assert fixed_chain_count(rank_selected_view(4, [2]), (4,)) == 1
 
 
+def test_fixed_element_without_fixed_cover_ends_no_chain():
+    # under (123)(45) the atom 1|2|3|45 is fixed and has covers, but none
+    # that (123)(45) fixes; a maximal chain ends only at a maximal element of
+    # the view, so no fixed chain ends at the atom
+    g = canonical_permutation((3, 2), 5)
+    atom = SetPartition.parse("1|2|3|45", 5)
+    v = rank_selected_view(5, (1, 2))
+    assert v.fixed_by(g) == {1: (atom,), 2: (SetPartition.parse("123|4|5", 5),)}
+    for view in (v, full_view(5), modular_deleted_view(5, 3), max_block_size_view(5, 2)):
+        ups = view.covers()[atom]
+        assert ups and all(act(g, y) != y for y in ups), view.describe()
+        assert fixed_chain_count(view, (3, 2)) == 0, view.describe()
+
+
+def test_fixed_by_generates_instead_of_filtering(monkeypatch):
+    import parthom.setparts as setparts
+
+    views = (full_view(6), modular_deleted_view(6, 3), rank_selected_view(6, (2, 4)))
+    cases = [(v, mu) for v in views for mu in ((1,) * 6, (2, 2, 1, 1), (3, 2, 1), (6,))]
+    expected = []
+    for v, mu in cases:
+        g = canonical_permutation(mu, 6)
+        by_rank = {r: tuple(x for x in xs if act(g, x) == x)
+                   for r, xs in v.elements_by_rank().items()}
+        expected.append(({r: xs for r, xs in by_rank.items() if xs}, fixed_chain_count(v, mu)))
+
+    def forbidden(*args):
+        raise AssertionError("act or refines called")
+
+    monkeypatch.setattr(setparts, "act", forbidden)
+    monkeypatch.setattr(SetPartition, "refines", forbidden)
+    for (v, mu), (by_rank, count) in zip(cases, expected):
+        assert v.fixed_by(canonical_permutation(mu, 6)) == by_rank
+        assert fixed_chain_count(v, mu) == count
+
+
 def test_fixed_chain_count_transposition_on_atoms():
     # atoms fixed by the swap of two points: the pair itself and every pair
     # disjoint from it; on 4 points that leaves 12|3|4 and 34|1|2
