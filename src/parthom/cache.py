@@ -16,6 +16,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from functools import lru_cache
 
 ENV_VAR = "PARTHOM_CACHE_DIR"
 
@@ -28,8 +29,10 @@ def default_cache_dir() -> str:
     return os.path.join(base, "parthom")
 
 
+@lru_cache(maxsize=None)
 def code_hash() -> str:
-    """sha256 over the NUL-separated names and contents of the package's ``*.py`` sources."""
+    """sha256 over the NUL-separated names and contents of the package's
+    ``*.py`` sources, read once per process."""
     digest = hashlib.sha256()
     for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import check_partition, partitions_of, zee
-from .symfunc import SymFunc
+from .symfunc import SymFunc, as_fraction
 
 
 class ClassFunction:
@@ -22,7 +22,7 @@ class ClassFunction:
         object.__setattr__(self, "n", n)
         filled = {}
         for mu in partitions_of(n):
-            filled[mu] = Fraction(values.get(mu, 0))
+            filled[mu] = as_fraction(values.get(mu, 0))
         extra = set(values) - set(filled)
         if extra:
             raise ValueError(f"values keyed by non-partitions of {n}: {sorted(extra)}")

@@ -115,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
 # result assembly (cacheable payload dicts)
 
 def _symfunc_payload(f: SymFunc, basis: str) -> dict:
-    g = f.in_basis(basis)
-    return {"symfunc": g.to_json_dict(), "dimension": str(g.dimension())}
+    # the dimension does not depend on the basis; f's own needs no conversion
+    return {"symfunc": f.in_basis(basis).to_json_dict(), "dimension": str(f.dimension())}
 
 
 def _result_sf(args) -> dict:

@@ -33,8 +33,8 @@ from .partitions import check_partition, partitions_of, zee
 from .poset import fixed_chain_count, rank_selected_view
 from .symfunc import (
     SymFunc,
+    _p_in_h_sum,
     homogeneous,
-    plethysm_with_h_sum,
     positivity,
     powersum,
 )
@@ -154,15 +154,19 @@ def _fixed_partition_counts(n: int, m: int) -> tuple[tuple[tuple[int, int], ...]
     N(nu, lam) counts the partitions of [n] into m blocks fixed by a
     permutation of type nu that permutes their blocks with type lam.  It
     maps class values of f to those of f[h_1 + h_2 + ...] in degree n, so
-    it is z_nu / z_lam times the p_nu coefficient of p_lam[h_1 + h_2 + ...]."""
+    it is z_nu / z_lam times the p_nu coefficient of p_lam[h_1 + h_2 + ...],
+    read off the integer table n! [p_nu] of ``_p_in_h_sum``."""
     index = {nu: i for i, nu in enumerate(partitions_of(n))}
     rows: list[list[tuple[int, int]]] = [[] for _ in index]
     for j, lam in enumerate(partitions_of(m)):
-        for nu, c in plethysm_with_h_sum(powersum(lam), n).terms.items():
-            count = c * zee(nu) / zee(lam)
-            if count.denominator != 1:
-                raise ModuleCheckError(f"N_{n},{m}({nu}, {lam}) = {count} is not an integer")
-            rows[index[nu]].append((j, int(count)))
+        den = factorial(n) * zee(lam)
+        for nu, c in _p_in_h_sum(lam, n):
+            count, remainder = divmod(c * zee(nu), den)
+            if remainder:
+                raise ModuleCheckError(
+                    f"N_{n},{m}({nu}, {lam}) = {c * zee(nu)}/{den} is not an integer"
+                )
+            rows[index[nu]].append((j, count))
     return tuple(tuple(row) for row in rows)
 
 

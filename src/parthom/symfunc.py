@@ -22,6 +22,22 @@ are reached by exact conversions:
   <f, h_lam>, and the p_mu coefficient of m_lam is the h_lam coefficient
   of p_mu divided by z_mu.
 
+The tables that are integer-valued are built over ``int``, and a
+``Fraction`` appears only where a ``SymFunc`` is made from them:
+
+* ``_p_in_h(n)`` and ``_p_product_in(lam)``, p_n and p_lam in the h basis
+  (Newton's identities have integer coefficients); a conversion to h sums
+  them over the common denominator of the p coefficients and divides once
+  per output term;
+* ``_p_in_h_sum(lam, n)``, n! times the degree-n part of
+  p_lam[h_1 + h_2 + ...]: its p_nu entry is the count N(nu, lam) of
+  :mod:`parthom.reps` times z_lam n!/z_nu, an integer.
+  ``plethysm_with_h_sum`` divides by n!, and the integer class-value
+  recurrence reads the table as it is.
+
+Coefficients must be rational: a float (whose binary expansion
+``Fraction`` would keep) is refused with ``TypeError``.
+
 All values are immutable after construction and every operation is a pure
 function; the expansions below are memoized with ``lru_cache`` and hand
 out immutable tuples.
@@ -33,7 +49,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 from numbers import Rational
 
 from .chartable import character
@@ -50,16 +66,24 @@ BASES = ("p", "h", "e", "s", "m")
 #: conversions through the character table are refused above this degree
 SCHUR_DEGREE_LIMIT = 14
 
-Terms = dict  # partition tuple -> Fraction
+Terms = dict  # partition tuple -> Fraction, or int in the integer tables
 
 
 def _clean(terms) -> Terms:
     out = {}
     for lam, c in terms.items():
-        c = Fraction(c)
+        c = as_fraction(c)
         if c:
             out[check_partition(lam)] = c
     return out
+
+
+def as_fraction(c) -> Fraction:
+    """*c* as a ``Fraction``; anything that is not a rational number (a float
+    above all, whose binary expansion ``Fraction`` would keep) is refused."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient {c!r} is not a rational number")
+    return Fraction(c)
 
 
 def _merge_mul(a: Terms, b: Terms, max_degree: int | None = None) -> Terms:
@@ -83,7 +107,7 @@ def _scale(terms: Terms, c: Fraction) -> Terms:
     return {lam: v * c for lam, v in terms.items()} if c else {}
 
 
-def _add_into(acc: Terms, terms: Terms, c: Fraction = Fraction(1)) -> None:
+def _add_into(acc: Terms, terms: Terms, c=1) -> None:
     for lam, v in terms.items():
         w = acc.get(lam, 0) + c * v
         if w:
@@ -103,10 +127,10 @@ def _h_in_p(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _p_in_h(n: int) -> tuple:
-    # Newton: p_n = n h_n - sum_{i<n} h_{n-i} p_i
-    acc: Terms = {(n,): Fraction(n)}
+    # Newton: p_n = n h_n - sum_{i<n} h_{n-i} p_i, with integer coefficients
+    acc: Terms = {(n,): n}
     for i in range(1, n):
-        _add_into(acc, _merge_mul({(n - i,): Fraction(1)}, dict(_p_in_h(i))), Fraction(-1))
+        _add_into(acc, _merge_mul({(n - i,): 1}, dict(_p_in_h(i))), -1)
     return tuple(acc.items())
 
 
@@ -133,8 +157,8 @@ def _gen_product_in_p(lam: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _p_product_in(lam: tuple) -> tuple:
-    """Powersum monomial p_lam expanded in the h basis."""
-    acc: Terms = {(): Fraction(1)}
+    """Powersum monomial p_lam expanded in the h basis (integer coefficients)."""
+    acc: Terms = {(): 1}
     for part in lam:
         acc = _merge_mul(acc, dict(_p_in_h(part)))
     return tuple(acc.items())
@@ -155,7 +179,7 @@ def _m_in_p(lam: tuple) -> tuple:
     for mu in partitions_of(sum(lam)):
         c = dict(_p_product_in(mu)).get(lam)
         if c:
-            out.append((mu, c / zee(mu)))
+            out.append((mu, Fraction(c, zee(mu))))
     return tuple(out)
 
 
@@ -207,12 +231,19 @@ def _from_p(target: str, pterms: Terms) -> Terms:
                 if val:
                     out[lam] = val
         return out
-    expand = {"h": _p_product_in, "m": _p_in_m}.get(target)
-    if expand is None:
+    if target == "h":
+        # the expansion is integral: sum over the common denominator of the
+        # coefficients and divide once per output term
+        den = lcm(*(c.denominator for c in pterms.values()))
+        acc: Terms = {}
+        for lam, c in pterms.items():
+            _add_into(acc, dict(_p_product_in(lam)), c.numerator * (den // c.denominator))
+        return {lam: Fraction(v, den) for lam, v in acc.items()}
+    if target != "m":
         raise ValueError(f"unknown basis {target!r}")
-    acc: Terms = {}
+    acc = {}
     for lam, c in pterms.items():
-        _add_into(acc, dict(expand(lam)), c)
+        _add_into(acc, dict(_p_in_m(lam)), c)
     return acc
 
 
@@ -424,7 +455,7 @@ def _d_dpk(pterms: Terms, k: int) -> Terms:
 # constructors
 
 def _basis_elem(basis: str, spec, coeff=1) -> SymFunc:
-    return SymFunc(basis, {check_partition(spec): Fraction(coeff)})
+    return SymFunc(basis, {check_partition(spec): coeff})
 
 
 def powersum(spec, coeff=1) -> SymFunc:
@@ -499,20 +530,23 @@ def plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
     acc: Terms = {}
     for lam, c in _to_p(f.basis, f.terms).items():
         _add_into(acc, dict(_p_in_h_sum(lam, n)), c)
-    return SymFunc("p", acc)
+    return SymFunc("p", _scale(acc, Fraction(1, factorial(n))))
 
 
 @lru_cache(maxsize=None)
 def _p_in_h_sum(lam: tuple, n: int) -> tuple:
-    """Degree-n part of p_lam[h_1 + h_2 + ...], peeling the first part k:
-    the degree-d part of p_k[h_1 + h_2 + ...] is h_{d/k} with every p_i
-    replaced by p_{ik}, and zero unless k divides d."""
+    """n! times the degree-n part of p_lam[h_1 + h_2 + ...], an integer table.
+    Peel the first part k: the degree-d part of p_k[h_1 + h_2 + ...] is
+    h_{d/k} with every p_i replaced by p_{ik}, zero unless k divides d, and
+    d! h_{d/k} has the integer p_mu coefficients d!/z_mu; its product with
+    (n-d)! times the rest is scaled by C(n, d)."""
     if not lam:
-        return (((), Fraction(1)),) if n == 0 else ()
+        return (((), 1),) if n == 0 else ()
     k, rest = lam[0], lam[1:]
     acc: Terms = {}
     for d in range(k, n - sum(rest) + 1, k):
-        head = {tuple(i * k for i in mu): c for mu, c in _h_in_p(d // k)}
+        scale = comb(n, d) * factorial(d)
+        head = {tuple(i * k for i in mu): scale // zee(mu) for mu in partitions_of(d // k)}
         _add_into(acc, _merge_mul(head, dict(_p_in_h_sum(rest, n - d))))
     return tuple(acc.items())
 

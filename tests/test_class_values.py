@@ -1,25 +1,148 @@
-"""The integer class-value recurrence against independent oracles.
+"""The integer class-value recurrence and its integer tables against
+independent oracles.
 
+* the integer kernels of ``symfunc`` (``_p_in_h``, ``_p_product_in`` and
+  ``_p_in_h_sum``, which is n! times the degree-n part of
+  p_lam[h_1 + h_2 + ...]) against the ``Fraction`` tables they replaced,
+  kept here as named oracles, and ``_p_in_h_sum`` against the general
+  truncated ``plethysm``;
 * N_{n,m}(nu, lam) against a direct count of the set partitions fixed by
   one permutation of each cycle type;
 * alpha and beta class values against the symmetric-function recurrence,
-  rebuilt here from ``plethysm_with_h_sum``;
+  rebuilt here on the ``Fraction`` oracle of p_lam[h_1 + h_2 + ...];
 * the integer pairing against the orthogonality of irreducible characters.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parthom import reps, symfunc
 from parthom.chartable import character
 from parthom.classfunc import ClassFunction
 from parthom.errors import ModuleCheckError
-from parthom.partitions import check_partition, partitions_of
+from parthom.partitions import check_partition, partitions_of, zee
 from parthom.reps import _fixed_partition_counts, class_values, schur_multiplicity
 from parthom.setparts import act, canonical_permutation, set_partitions
-from parthom.symfunc import H, plethysm_with_h_sum
+from parthom.symfunc import H, P, SymFunc, _p_in_h, _p_in_h_sum, _p_product_in, plethysm
 
+#: the integer tables are checked exactly for every lam with |lam| <= n <= KERNEL_N
+KERNEL_N = 9
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the tables as they were built before they became integer
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for lam, c in a.items():
+        for mu, d in b.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, 0) + c * d
+    return {key: v for key, v in out.items() if v}
+
+
+def _add(acc: dict, terms: dict, c=1) -> None:
+    for key, v in terms.items():
+        acc[key] = acc.get(key, 0) + c * v
+
+
+@lru_cache(maxsize=None)
+def oracle_p_in_h(n: int) -> dict:
+    """p_n in the h basis by Newton's identity, in ``Fraction``."""
+    acc = {(n,): Fraction(n)}
+    for i in range(1, n):
+        _add(acc, _mul({(n - i,): Fraction(1)}, oracle_p_in_h(i)), -1)
+    return {key: v for key, v in acc.items() if v}
+
+
+def oracle_p_product_in(lam: tuple) -> dict:
+    acc = {(): Fraction(1)}
+    for part in lam:
+        acc = _mul(acc, oracle_p_in_h(part))
+    return acc
+
+
+@lru_cache(maxsize=None)
+def oracle_p_in_h_sum(lam: tuple, n: int) -> dict:
+    """The degree-n part of p_lam[h_1 + h_2 + ...] in ``Fraction``, peeling
+    the first part k: the degree-d part of p_k[...] is h_{d/k}[p_k]."""
+    if not lam:
+        return {(): Fraction(1)} if n == 0 else {}
+    k, rest = lam[0], lam[1:]
+    acc = {}
+    for d in range(k, n - sum(rest) + 1, k):
+        head = {tuple(i * k for i in mu): Fraction(1, zee(mu)) for mu in partitions_of(d // k)}
+        _add(acc, _mul(head, oracle_p_in_h_sum(rest, n - d)))
+    return {key: v for key, v in acc.items() if v}
+
+
+def _kernel_cases():
+    return [(lam, n) for n in range(KERNEL_N + 1) for m in range(n + 1) for lam in partitions_of(m)]
+
+
+def test_p_in_h_sum_is_n_factorial_times_the_fraction_oracle():
+    for lam, n in _kernel_cases():
+        got = dict(_p_in_h_sum(lam, n))
+        assert all(type(v) is int for v in got.values()), (lam, n)
+        want = {nu: v * factorial(n) for nu, v in oracle_p_in_h_sum(lam, n).items()}
+        assert got == want, (lam, n)
+
+
+def test_p_in_h_sum_matches_the_general_plethysm():
+    h_sum = SymFunc("h", {(i,): 1 for i in range(1, KERNEL_N + 1)})
+    for m in range(KERNEL_N + 1):
+        for lam in partitions_of(m):
+            full = plethysm(P(lam), h_sum, KERNEL_N)
+            for n in range(m, KERNEL_N + 1):
+                table = {nu: Fraction(c, factorial(n)) for nu, c in _p_in_h_sum(lam, n)}
+                assert full.homogeneous_part(n) == SymFunc("p", table), (lam, n)
+
+
+def test_p_product_in_matches_the_fraction_oracle():
+    for n in range(1, KERNEL_N + 1):
+        assert dict(_p_in_h(n)) == oracle_p_in_h(n), n
+    for n in range(KERNEL_N + 1):
+        for lam in partitions_of(n):
+            got = dict(_p_product_in(lam))
+            assert all(type(v) is int for v in got.values()), lam
+            assert got == oracle_p_product_in(lam), lam
+
+
+def test_integer_kernels_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built by an integer kernel")
+
+    monkeypatch.setattr(symfunc, "Fraction", refuse)
+    monkeypatch.setattr(reps, "Fraction", refuse)
+    for kernel in (_p_in_h, _p_product_in, _p_in_h_sum, _fixed_partition_counts):
+        kernel.cache_clear()
+    for n in range(1, KERNEL_N):
+        for m in range(1, n + 1):
+            _fixed_partition_counts(n, m)
+        for lam in partitions_of(n):
+            _p_product_in(lam)
+
+
+def test_non_integer_n_entry_raises(monkeypatch):
+    n = 5
+
+    def perturbed(lam, deg):
+        # one more in the p_(n) entry of n! h_n: N((n), (1)) becomes 125/120
+        table = dict(_p_in_h_sum(lam, deg))
+        table[(n,)] += 1
+        return tuple(table.items())
+
+    monkeypatch.setattr(reps, "_p_in_h_sum", perturbed)
+    with pytest.raises(ModuleCheckError, match=r"N_5,1\(\(5,\), \(1,\)\)"):
+        _fixed_partition_counts.__wrapped__(n, 1)
+
+
+# ---------------------------------------------------------------------------
+# N, the recurrence and the pairing
 
 def _block_cycle_type(perm, x) -> tuple[int, ...]:
     """Cycle type of the permutation that *perm* induces on the blocks of *x*."""
@@ -61,6 +184,14 @@ def test_fixed_partition_counts_match_brute_force(n):
         assert all(got.values())  # rows are sparse: no stored zeros
 
 
+def _oracle_plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
+    """Degree-n part of f[h_1 + h_2 + ...] on the ``Fraction`` oracle."""
+    acc = {}
+    for lam, c in f.in_basis("p").terms.items():
+        _add(acc, oracle_p_in_h_sum(lam, n), c)
+    return SymFunc("p", acc)
+
+
 @lru_cache(maxsize=None)
 def _symfunc_recurrence(n: int, ranks: tuple[int, ...], homology: bool):
     """The named oracle: the recurrence on symmetric functions with rational
@@ -69,7 +200,7 @@ def _symfunc_recurrence(n: int, ranks: tuple[int, ...], homology: bool):
         return H(n)
     s1 = ranks[0]
     inner = _symfunc_recurrence(n - s1, tuple(r - s1 for r in ranks[1:]), homology)
-    result = plethysm_with_h_sum(inner, n)
+    result = _oracle_plethysm_with_h_sum(inner, n)
     return result - _symfunc_recurrence(n, ranks[1:], True) if homology else result
 
 

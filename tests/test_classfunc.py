@@ -76,3 +76,12 @@ def test_inner_product_against_symfunc_pairing():
         a(mu) * b(mu) / Fraction(zee(mu)) for mu in partitions_of(3)
     )
     assert pairing == H([2, 1]).inner(S([2, 1])) == 1
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), "1/2", 1j])
+def test_refuses_values_that_are_not_rational(value):
+    # Fraction(0.1) would keep the float's binary expansion
+    with pytest.raises(TypeError):
+        ClassFunction(2, {(2,): value, (1, 1): 1})
+    with pytest.raises(TypeError):
+        ClassFunction(2, {(1, 1): 1}) * value

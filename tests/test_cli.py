@@ -294,6 +294,35 @@ def test_cache_entry_of_other_code_not_served(tmp_path, capsys, monkeypatch):
     assert len(list(tmp_path.rglob("*.json"))) == 2
 
 
+def test_one_miss_reads_the_sources_once_and_keys_load_and_store_alike(
+        tmp_path, capsys, monkeypatch):
+    import pathlib
+
+    import parthom.cache as cache
+
+    package = pathlib.Path(cache.__file__).parent
+    reads, keys = [], []
+    read_bytes, cache_key = pathlib.Path.read_bytes, cache.cache_key
+
+    def counted_read(path):
+        if path.parent == package:
+            reads.append(path.name)
+        return read_bytes(path)
+
+    def recorded_key(*args):
+        keys.append(cache_key(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", counted_read)
+    monkeypatch.setattr(cache, "cache_key", recorded_key)
+    cache.code_hash.cache_clear()
+    argv = ["sf", "--family", "lie", "--n", "4", "--cache-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    assert sorted(reads) == sorted(path.name for path in package.glob("*.py"))
+    assert len(keys) == 2 and keys[0] == keys[1]  # the load, then the store
+    assert [path.stem for path in tmp_path.rglob("*.json")] == keys[:1]
+
+
 def test_equal_rank_sets_share_one_cache_entry(tmp_path, capsys):
     outputs = set()
     for ranks in ("1,3", "3,1", "1-1,3"):

@@ -344,6 +344,17 @@ def test_no_zero_terms_stored():
     assert (2,) not in g.terms
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), "1/2", 1j])
+def test_refuses_coefficients_that_are_not_rational(value):
+    # Fraction(0.1) would keep the float's binary expansion, 3602879701896397/2**55
+    with pytest.raises(TypeError):
+        SymFunc("p", {(1,): value})
+    with pytest.raises(TypeError):
+        P(1, value)
+    with pytest.raises(TypeError):
+        H(1) * value
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
