@@ -12,9 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from . import reps
 from .classfunc import ClassFunction
-from .errors import ConcentrationError, FeasibilityError
+from .errors import BOUNDS, ConcentrationError, refuse_past
 from .poset import (
     PosetView,
     max_block_size_view,
@@ -23,7 +22,6 @@ from .poset import (
     no_block_size_view,
 )
 from .reps import (
-    _check_degree,
     chain_characteristic,
     class_values,
     even_block_characteristic,
@@ -93,19 +91,14 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # stability across the ground-set size
 
-@dataclass
-class StabilityReport:
+@dataclass(kw_only=True)
+class StabilityReport(Verdict):
     ranks: tuple[int, ...]
     k: int
     n_max: int
     rows: list[dict] = field(default_factory=list)
     onsets: dict = field(default_factory=dict)
     onset_bound: int = 0
-    assertions: list[Assertion] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(a.passed for a in self.assertions)
 
     def to_json_dict(self):
         return {
@@ -118,7 +111,7 @@ class StabilityReport:
             "onsets": {key: v for key, v in self.onsets.items()},
             "onset_bound": self.onset_bound,
             "passed": self.passed,
-            "failures": [a.to_json_dict() for a in self.assertions if not a.passed],
+            "failures": [a.to_json_dict() for a in self.failures],
         }
 
 
@@ -148,12 +141,9 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
     if n_max < n_min:
         # a report over no ground size must not pass
         raise ValueError(f"n_max {n_max} < max(S) + 2 = {n_min}: the report covers no n")
-    if n_max + 1 > reps.MAX_DEGREE:
-        raise FeasibilityError(
-            f"--max-n {n_max} needs degree {n_max + 1} for the shift identities; "
-            f"the supported bound is {reps.MAX_DEGREE}"
-        )
-    report = StabilityReport(ranks=ranks, k=k, n_max=n_max)
+    refuse_past("degree", n_max + 1, f"--max-n {n_max} needs degree {n_max + 1} for the "
+                f"shift identities; the supported bound is {{limit}}")
+    report = StabilityReport("stability", ranks=ranks, k=k, n_max=n_max)
     report.onset_bound = 2 * max(ranks) + k
 
     tracked: dict[str, dict[int, int]] = {}
@@ -177,34 +167,19 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
 
         # shift identities, each at this n
         shifted = tuple(r + 1 for r in ranks)
-        lhs = multiplicities(n + 1, (1,) + shifted)
-        report.assertions.append(
-            Assertion(
-                "a({1} u (S+1), n+1) == a'(S, n)",
-                lhs.a == m.a_prime,
-                {"n": n, "lhs": lhs.a, "rhs": m.a_prime},
-            )
-        )
-        rhs = multiplicities(n + 1, (1,) + shifted).b + multiplicities(n + 1, shifted).b
-        report.assertions.append(
-            Assertion(
-                "b'(S, n) == b({1} u (S+1), n+1) + b(S+1, n+1)",
-                m.b_prime == rhs,
-                {"n": n, "lhs": m.b_prime, "rhs": rhs},
-            )
-        )
+        up = multiplicities(n + 1, (1,) + shifted)
+        report.check("a({1} u (S+1), n+1) == a'(S, n)", up.a == m.a_prime,
+                     n=n, lhs=up.a, rhs=m.a_prime)
+        rhs = up.b + multiplicities(n + 1, shifted).b
+        report.check("b'(S, n) == b({1} u (S+1), n+1) + b(S+1, n+1)", m.b_prime == rhs,
+                     n=n, lhs=m.b_prime, rhs=rhs)
         if 1 not in ranks:
             down = tuple(r - 1 for r in ranks)
             lhs28 = multiplicities(n, (1,) + ranks).b + m.b
             rhs28 = multiplicities(n - 1, down).b_prime if n - 1 >= max(down) + 2 else None
             if rhs28 is not None:
-                report.assertions.append(
-                    Assertion(
-                        "b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)",
-                        lhs28 == rhs28,
-                        {"n": n, "lhs": lhs28, "rhs": rhs28},
-                    )
-                )
+                report.check("b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)", lhs28 == rhs28,
+                             n=n, lhs=lhs28, rhs=rhs28)
 
     # stabilization onsets within the tested window.  The trivial columns
     # stabilize by 2 max(S), the primed ones (a one-box skew) by
@@ -227,13 +202,8 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
         report.onsets[key] = onset
         bound = max(column_bounds[key], n_min)
         if bound <= n_max:
-            report.assertions.append(
-                Assertion(
-                    f"onset({key}) within its stability bound",
-                    onset <= bound,
-                    {"column": key, "onset": onset, "bound": bound},
-                )
-            )
+            report.check(f"onset({key}) within its stability bound", onset <= bound,
+                         column=key, onset=onset, bound=bound)
 
     # stable reflection multiplicity: b' - b against the shifted stable values
     if report.onset_bound + 1 <= n_max:
@@ -241,13 +211,9 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
         stable_val = _stable_b((1,) + shifted) + _stable_b(shifted) - _stable_b(ranks)
         for row in report.rows:
             if row["n"] >= 2 * max(ranks) + 1:
-                report.assertions.append(
-                    Assertion(
-                        "stable reflection multiplicity",
-                        row["b_prime"] - row["b"] == stable_val,
-                        {"n": row["n"], "lhs": row["b_prime"] - row["b"], "rhs": stable_val},
-                    )
-                )
+                lhs = row["b_prime"] - row["b"]
+                report.check("stable reflection multiplicity", lhs == stable_val,
+                             n=row["n"], lhs=lhs, rhs=stable_val)
     return report
 
 
@@ -278,13 +244,13 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
     ``even``: the even-block characteristic against the independent
     rank-selected recurrence, plus involution support.
     ``method``: the chain-counting and recurrence paths agree on alpha and
-    beta of every rank set, for n up to min(n_max, 7).
+    beta of every rank set, for n up to min(n_max, the ``method_suite`` bound).
     """
     # refuse each suite's largest degree before its first check
     if name in ("hh", "euler", "orbit"):
-        _check_degree(n_max)
+        refuse_past("degree", n_max)
     elif name in ("conj-3.7", "even"):
-        _check_degree(2 * n_max)
+        refuse_past("degree", 2 * n_max)
     verdict = Verdict(name)
     if name == "conj-3.9":
         for n in range(2, n_max + 1):
@@ -336,14 +302,15 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
                 f"involution support, 2n={2 * n}", cf.supported_on_involutions(), n=n
             )
     elif name == "method":
-        for n in range(3, min(n_max, 7) + 1):
+        cap = BOUNDS["method_suite"]
+        for n in range(3, min(n_max, cap) + 1):
             for S in _subsets(range(1, n - 1)):
                 same_a = chain_characteristic(n, S, "chains") == chain_characteristic(n, S, "recurrence")
                 same_b = homology_characteristic(n, S, "chains") == homology_characteristic(n, S, "recurrence")
                 verdict.check(f"alpha paths agree n={n} S={S}", same_a, n=n, S=list(S))
                 verdict.check(f"beta paths agree n={n} S={S}", same_b, n=n, S=list(S))
-        if n_max > 7:
-            verdict.notes.append("chain path capped at n = 7")
+        if n_max > cap:
+            verdict.notes.append(f"chain path capped at n = {cap}")
     else:
         raise ValueError(f"unknown check suite {name!r}")
     return verdict
@@ -452,30 +419,24 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
         "methods": ["snf-homology", "lefschetz-character"],
         "view": view.describe(),
         "homology": hom.to_json_dict(),
-        "assertions": [],
         "notes": [],
     }
-
-    def record(name, passed, **witness):
-        report["assertions"].append(
-            {"name": name, "passed": bool(passed), "witness": witness}
-        )
-
+    verdict = Verdict(family)
     predicted = _predicted_module(family, n, k)
     if predicted is not None:
         degree, module = predicted
         try:
             got_degree, chi = concentrated_character(view, hom)
         except ConcentrationError as exc:
-            record("free homology concentrated in one degree", False, error=str(exc))
+            verdict.check("free homology concentrated in one degree", False, error=str(exc))
         else:
-            record(
+            verdict.check(
                 "free homology concentrated in one degree",
                 got_degree == degree and hom.is_free(),
                 degree=got_degree, expected_degree=degree,
             )
             characteristic = chi.characteristic()
-            record(
+            verdict.check(
                 "character matches the predicted module",
                 characteristic == module,
                 dimension=int(chi.dimension()),
@@ -501,12 +462,13 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
         )
     elif family == "ne" and n == 2 * k + 1:
         allowed = {2 * k - 4, 2 * k - 3}
-        record(
+        verdict.check(
             "homology only in degrees 2k-4 and 2k-3",
             set(hom.nonzero_degrees()) <= allowed,
             degrees=hom.nonzero_degrees(),
         )
     else:
         report["notes"].append("no predicted module for these parameters")
-    report["passed"] = all(a["passed"] for a in report["assertions"])
+    report["assertions"] = [a.to_json_dict() for a in verdict.assertions]
+    report["passed"] = verdict.passed
     return report

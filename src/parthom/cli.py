@@ -23,7 +23,7 @@ import sys
 from itertools import combinations
 
 from . import cache
-from .errors import ConcentrationError, FeasibilityError, ModuleCheckError
+from .errors import ConcentrationError, FeasibilityError, ModuleCheckError, refuse_past
 from .partitions import canonical_sort_key
 from .poset import parse_rank_set, parse_view
 from .reps import (
@@ -120,6 +120,7 @@ def _symfunc_payload(f: SymFunc, basis: str) -> dict:
 
 
 def _result_sf(args) -> dict:
+    refuse_past("degree", 2 * args.n if args.family == "reven" else args.n)
     if args.family == "lie":
         f = lie_character(args.n)
     elif args.family == "whitehouse":

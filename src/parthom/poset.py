@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import FeasibilityError
+from .errors import BOUNDS, FeasibilityError, refuse_past
 from .partitions import check_partition
 from .setparts import (
     SetPartition,
@@ -48,13 +48,6 @@ from .setparts import (
     restricted_growth,
     set_partitions,
 )
-
-#: largest ground set for which views will materialize elements
-MAX_GROUND = 10
-
-#: refuse chain enumeration (not counting) past this many maximal chains
-MAX_CHAINS = 1_000_000
-
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
@@ -72,18 +65,17 @@ def _stirling_domain_error(n, k):
     raise ValueError(f"stirling2 needs 0 <= k <= n, got n={n}, k={k}")
 
 
-def _check_ground(n: int) -> None:
-    if not 2 <= n <= MAX_GROUND:
-        raise FeasibilityError(f"ground set size {n} outside supported range 2..{MAX_GROUND}")
-
-
 class PosetView:
-    """An induced subposet of the partition lattice, elements cached by rank."""
+    """An induced subposet of the partition lattice, elements cached by rank.
+    Without a *predicate* it keeps whole ranks and is ``rank_selected``."""
 
     __slots__ = ("n", "spec", "rank_selected", "_by_rank", "_elements", "_index")
 
-    def __init__(self, n: int, spec: str, candidate_ranks, predicate=None, rank_selected=False):
-        _check_ground(n)
+    def __init__(self, n: int, spec: str, candidate_ranks, predicate=None):
+        message = "ground set size {value} outside supported range 2..{limit}"
+        if n < 2:
+            raise FeasibilityError(message.format(value=n, limit=BOUNDS["ground"]))
+        refuse_past("ground", n, message)
         by_rank: dict[int, tuple[SetPartition, ...]] = {}
         for r in sorted(candidate_ranks):
             if not 1 <= r <= n - 2:
@@ -95,7 +87,7 @@ class PosetView:
                 by_rank[r] = elems
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rank_selected", rank_selected)
+        object.__setattr__(self, "rank_selected", predicate is None)
         object.__setattr__(self, "_by_rank", by_rank)
         flat = tuple(x for r in sorted(by_rank) for x in by_rank[r])
         object.__setattr__(self, "_elements", flat)
@@ -240,9 +232,9 @@ class PosetView:
 
     def maximal_chains(self) -> list[tuple[SetPartition, ...]]:
         """All maximal chains of the view; the empty view has one empty chain.
-        Refused, after counting them, when there are more than MAX_CHAINS."""
-        if self.count_maximal_chains() > MAX_CHAINS:
-            raise FeasibilityError(f"too many maximal chains in {self.describe()}")
+        Refused, after counting them, past the ``chains`` bound."""
+        refuse_past("chains", self.count_maximal_chains(),
+                    f"too many maximal chains in {self.describe()}")
         if not self._elements:
             return [()]
         covers = [self._covers(i) for i in range(len(self._elements))]
@@ -322,7 +314,7 @@ def _is_modular(x: SetPartition) -> int | None:
 
 
 def full_view(n: int) -> PosetView:
-    return PosetView(n, "full", range(1, n - 1), rank_selected=True)
+    return PosetView(n, "full", range(1, n - 1))
 
 
 def rank_selected_view(n: int, ranks) -> PosetView:
@@ -331,7 +323,7 @@ def rank_selected_view(n: int, ranks) -> PosetView:
         if not 1 <= r <= n - 2:
             raise ValueError(f"rank {r} outside [1, {n - 2}]")
     spec = "ranks:" + ",".join(map(str, ranks)) if ranks else "ranks:"
-    return PosetView(n, spec, ranks, rank_selected=True)
+    return PosetView(n, spec, ranks)
 
 
 def modular_deleted_view(n: int, k: int) -> PosetView:
@@ -379,7 +371,7 @@ def even_block_view(n: int) -> PosetView:
     """Partitions with an even number of blocks: ranks n-2, n-4, ... down to 2."""
     if n % 2 or n < 4:
         raise ValueError(f"even-block view needs an even ground size >= 4, got {n}")
-    return PosetView(n, "even", range(2, n - 1, 2), rank_selected=True)
+    return PosetView(n, "even", range(2, n - 1, 2))
 
 
 def even_block_top_view(n: int, k: int) -> PosetView:
@@ -389,7 +381,7 @@ def even_block_top_view(n: int, k: int) -> PosetView:
     if not 1 <= k <= n // 2 - 1:
         raise ValueError(f"need 1 <= k <= n/2-1, got k={k}")
     ranks = range(n - 2 * k, n - 1, 2)
-    return PosetView(n, f"even-top:k={k}", ranks, rank_selected=True)
+    return PosetView(n, f"even-top:k={k}", ranks)
 
 
 _FAMILIES = {

@@ -53,7 +53,7 @@ from math import comb, factorial, lcm
 from numbers import Rational
 
 from .chartable import character
-from .errors import FeasibilityError
+from .errors import refuse_past
 from .partitions import (
     canonical_sort_key,
     check_partition,
@@ -63,10 +63,9 @@ from .partitions import (
 
 BASES = ("p", "h", "e", "s", "m")
 
-#: conversions through the character table are refused above this degree
-SCHUR_DEGREE_LIMIT = 14
-
 Terms = dict  # partition tuple -> Fraction, or int in the integer tables
+
+_SCHUR_REFUSAL = "character-table conversion refused for degree {value} > {limit}"
 
 
 def _clean(terms) -> Terms:
@@ -137,7 +136,7 @@ def _p_in_h(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _s_in_p(lam: tuple) -> tuple:
     n = sum(lam)
-    _check_schur_degree(n)
+    refuse_past("schur_degree", n, _SCHUR_REFUSAL)
     out = []
     for mu in partitions_of(n):
         chi = character(lam, mu)
@@ -162,13 +161,6 @@ def _p_product_in(lam: tuple) -> tuple:
     for part in lam:
         acc = _merge_mul(acc, dict(_p_in_h(part)))
     return tuple(acc.items())
-
-
-def _check_schur_degree(n: int) -> None:
-    if n > SCHUR_DEGREE_LIMIT:
-        raise FeasibilityError(
-            f"character-table conversion refused for degree {n} > {SCHUR_DEGREE_LIMIT}"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +216,7 @@ def _from_p(target: str, pterms: Terms) -> Terms:
     if target == "s":
         out: Terms = {}
         for n in sorted({sum(lam) for lam in pterms}):
-            _check_schur_degree(n)
+            refuse_past("schur_degree", n, _SCHUR_REFUSAL)
             comp = {lam: c for lam, c in pterms.items() if sum(lam) == n}
             for lam in partitions_of(n):
                 val = sum((c * character(lam, mu) for mu, c in comp.items()), Fraction(0))
@@ -274,9 +266,6 @@ class SymFunc:
     def degree(self) -> int | None:
         """Top degree, or None for the zero function."""
         return max((sum(lam) for lam in self.terms), default=None)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def homogeneous_part(self, d: int) -> "SymFunc":
         return SymFunc(self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == d})

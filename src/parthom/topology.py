@@ -30,14 +30,11 @@ import json
 from fractions import Fraction
 
 from .classfunc import ClassFunction
-from .errors import ConcentrationError, FeasibilityError
+from .errors import BOUNDS, ConcentrationError, FeasibilityError
 from .partitions import partitions_of
 from .poset import PosetView, chain_sums
 from .setparts import canonical_permutation
 from .snf import SparseIntMatrix, reduce_columns
-
-#: refuse complexes with more simplices than this
-MAX_SIMPLICES = 250_000
 
 
 class ChainComplexZ:
@@ -84,15 +81,18 @@ class ChainComplexZ:
                     raise AssertionError(f"boundary composition nonzero at dim {d}, col {k}")
 
 
-def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
+def order_complex(view: PosetView) -> ChainComplexZ:
     """All chains of the view as an augmented simplicial complex, kept as
-    the face-row tuples of its simplices."""
+    the face-row tuples of its simplices, refused past the ``simplices``
+    bound and checked to satisfy d^2 = 0."""
     # extending each chain of a sorted level by its sorted successors keeps
     # the next level sorted.  The size of the next level is counted before it
     # is built, and an element's successor list is built when a chain first
     # ends in it, so the count passes the cap before the rest is built.  Only
     # two levels of chains are alive at a time: a level's faces are looked up
-    # in the one below, which is then dropped
+    # in the one below, which is then dropped.  The cap is compared inline,
+    # once per chain, so it is read once
+    limit = BOUNDS["simplices"]
     succ: dict[int, list[int]] = {}
     level = [(i,) for i in range(len(view))]
     faces = [[(0,)] * len(level)] if level else []
@@ -102,17 +102,16 @@ def order_complex(view: PosetView, check: bool = True) -> ChainComplexZ:
             if c[-1] not in succ:
                 succ[c[-1]] = view.above(c[-1])
             count += len(succ[c[-1]])
-            if count > MAX_SIMPLICES:
+            if count > limit:
                 raise FeasibilityError(
-                    f"order complex of {view.describe()} exceeds {MAX_SIMPLICES} simplices"
+                    f"order complex of {view.describe()} exceeds {limit} simplices"
                 )
         index = {c: k for k, c in enumerate(level)}
         level = [c + (j,) for c in level for j in succ[c[-1]]]
         if level:
             faces.append([tuple(index[s[:i] + s[i + 1:]] for i in range(len(s))) for s in level])
     cc = ChainComplexZ(view.describe(), faces)
-    if check:
-        cc.check_boundary_squares_to_zero()
+    cc.check_boundary_squares_to_zero()
     return cc
 
 

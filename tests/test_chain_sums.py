@@ -168,7 +168,7 @@ def test_view_order_and_chain_sums_match_refines_oracle(view, data):
     assert chain_sums(view, perm) == fixed_chains
     assert chain_sums(view, perm, covers=False) == reduced_euler
     assert mobius_number(view) == oracle_reduced_euler(view.elements(), below)
-    assert order_complex(view, check=False).f_vector() == oracle_f_vector(view)
+    assert order_complex(view).f_vector() == oracle_f_vector(view)
 
 
 def check_fixed_part(view, g, chains, below) -> tuple[int, int]:

@@ -133,7 +133,7 @@ def test_stability_report_over_no_n_exit_2(capsys):
 
 def test_degree_bound_refused_before_first_rank_set(capsys, monkeypatch):
     import parthom.checks as checks
-    import parthom.reps as reps
+    import parthom.errors as errors
 
     calls = []
     real = checks.multiplicities
@@ -143,7 +143,7 @@ def test_degree_bound_refused_before_first_rank_set(capsys, monkeypatch):
         return real(n, ranks)
 
     monkeypatch.setattr(checks, "multiplicities", counted)
-    monkeypatch.setattr(reps, "MAX_DEGREE", 6)
+    monkeypatch.setitem(errors.BOUNDS, "degree", 6)
     for suite in ("euler", "hh"):
         code = main(["check", "--suite", suite, "--max-n", "7", "--no-cache"])
         captured = capsys.readouterr()
@@ -155,7 +155,7 @@ def test_degree_bound_refused_before_first_rank_set(capsys, monkeypatch):
 def test_suite_degree_refused_before_first_check(capsys, monkeypatch):
     # conj-3.7 and even reach degree 2 max-n, orbit degree max-n
     import parthom.checks as checks
-    import parthom.reps as reps
+    import parthom.errors as errors
 
     calls = []
 
@@ -167,7 +167,7 @@ def test_suite_degree_refused_before_first_check(capsys, monkeypatch):
 
     for name in ("homology_characteristic", "chain_characteristic"):
         monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
-    monkeypatch.setattr(reps, "MAX_DEGREE", 6)
+    monkeypatch.setitem(errors.BOUNDS, "degree", 6)
     for suite, max_n, degree in (("conj-3.7", "4", 8), ("even", "4", 8), ("orbit", "7", 7)):
         code = main(["check", "--suite", suite, "--max-n", max_n, "--no-cache"])
         captured = capsys.readouterr()
@@ -179,7 +179,7 @@ def test_suite_degree_refused_before_first_check(capsys, monkeypatch):
 def test_stability_report_refuses_max_n_past_bound_up_front(capsys, monkeypatch):
     # the shift identities at n = max-n need degree max-n + 1
     import parthom.checks as checks
-    import parthom.reps as reps
+    import parthom.errors as errors
 
     calls = []
     real = checks.multiplicities
@@ -189,7 +189,7 @@ def test_stability_report_refuses_max_n_past_bound_up_front(capsys, monkeypatch)
         return real(n, ranks)
 
     monkeypatch.setattr(checks, "multiplicities", counted)
-    monkeypatch.setattr(reps, "MAX_DEGREE", 6)
+    monkeypatch.setitem(errors.BOUNDS, "degree", 6)
     code = main(["report", "--family", "stability", "--ranks", "2", "--k", "1",
                  "--max-n", "6", "--no-cache"])
     captured = capsys.readouterr()

@@ -276,16 +276,16 @@ def test_general_view_maximal_chains_agree_with_cover_paths():
 
 
 def test_maximal_chains_refused_past_cap(monkeypatch):
-    import parthom.poset as poset
+    import parthom.errors as errors
 
     q = modular_deleted_view(6, 2)  # a general view: no rank-selected shortcut
     total = q.count_maximal_chains()
     assert len(q.maximal_chains()) == total
-    monkeypatch.setattr(poset, "MAX_CHAINS", total - 1)
+    monkeypatch.setitem(errors.BOUNDS, "chains", total - 1)
     with pytest.raises(FeasibilityError):
         q.maximal_chains()
     assert q.count_maximal_chains() == total  # counting is never refused
-    monkeypatch.setattr(poset, "MAX_CHAINS", 10)
+    monkeypatch.setitem(errors.BOUNDS, "chains", 10)
     with pytest.raises(FeasibilityError):
         full_view(5).maximal_chains()
 

@@ -154,7 +154,7 @@ def test_boundary_squares_to_zero_is_checked():
 
 
 def test_order_complex_refused_before_every_successor_list(monkeypatch):
-    import parthom.topology as topology
+    import parthom.errors as errors
 
     view = full_view(6)
     calls = []
@@ -166,7 +166,7 @@ def test_order_complex_refused_before_every_successor_list(monkeypatch):
 
     monkeypatch.setattr(PosetView, "above", counted)
     # the vertices fit under the cap and the first few edges do not
-    monkeypatch.setattr(topology, "MAX_SIMPLICES", len(view) + 10)
+    monkeypatch.setitem(errors.BOUNDS, "simplices", len(view) + 10)
     with pytest.raises(FeasibilityError, match="exceeds"):
         order_complex(view)
     assert 0 < len(calls) < len(view)
