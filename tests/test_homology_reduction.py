@@ -1,11 +1,11 @@
-"""The boundary-column reduction with clearing against the full-matrix
-Smith normal form it replaced, kept here as the named oracle."""
+"""The coboundary-column reduction with clearing against the full-matrix
+Smith normal form, kept here as the named oracle."""
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from parthom.poset import max_block_size_view, parse_view
+from parthom.poset import max_block_size_view, parse_view, rank_selected_view
 from parthom.snf import SparseIntMatrix, invariant_factors, reduce_columns
 from parthom.topology import (
     HomologyResult,
@@ -135,3 +135,44 @@ def test_clearing_keeps_the_invariant_factors(case):
     assert factors2 == invariant_factors(SparseIntMatrix.from_columns(n1, upper))
     factors1, _ = reduce_columns(dict(col) for k, col in enumerate(lower) if k not in units)
     assert factors1 == invariant_factors(SparseIntMatrix.from_columns(n0, lower))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_step_complexes())
+def test_clearing_keeps_the_invariant_factors_in_the_dual_order(case):
+    # cohomology order: the columns of X^T are the rows of X, and a unit
+    # pivot of X^T at row i drops column i of Y^T (row i of Y) unbuilt
+    n0, n1, X, Y = case
+    n2 = len(Y[0])
+    co_lower = [{i: v for i, v in enumerate(row) if v} for row in X]
+    co_upper = [{b: v for b, v in enumerate(row) if v} for row in Y]
+    factors1, units = reduce_columns(dict(col) for col in co_lower)
+    assert factors1 == invariant_factors(SparseIntMatrix.from_columns(n0, columns_of(X, n1)))
+    factors2, _ = reduce_columns(dict(col) for i, col in enumerate(co_upper) if i not in units)
+    assert factors2 == invariant_factors(SparseIntMatrix.from_columns(n1, columns_of(Y, n2)))
+
+
+def test_cohomology_order_builds_no_top_column(monkeypatch):
+    import parthom.topology as topology
+
+    calls = []
+    real = topology.reduce_columns
+
+    def counted(columns):
+        columns = list(columns)
+        size = len(columns)
+        factors, units = real(columns)
+        calls.append((size, len(factors)))
+        return factors, units
+
+    monkeypatch.setattr(topology, "reduce_columns", counted)
+    cc = order_complex(rank_selected_view(7, (1, 3, 5)))
+    assert cc.f_vector() == {-1: 1, 0: 434, 1: 4466, 2: 9555}
+    homology(cc)
+    # one call per coboundary delta_-1, delta_0, delta_1, whose columns are
+    # the empty simplex, the vertices and the edges: no 2-simplex is a
+    # column.  Clearing drops the vertex and the 433 edges at unit pivots,
+    # and every column that is built becomes a pivot
+    assert [size for size, _ in calls] == [1, 433, 4033]
+    assert sum(size for size, _ in calls) == 4467
+    assert all(size == rank for size, rank in calls)

@@ -13,6 +13,7 @@ from parthom.poset import (
     full_view,
     max_block_size_view,
     modular_deleted_view,
+    parse_view,
     rank_selected_view,
 )
 from parthom.reps import homology_characteristic, lie_character
@@ -133,6 +134,37 @@ def test_empty_view_complex():
     assert hom.reduced_euler() == -1
 
 
+def oracle_faces(view):
+    """Oracle: every chain kept as a tuple, and each face row looked up in a
+    dict keyed by the chains of the level below."""
+    succ = {}
+    level = [(i,) for i in range(len(view))]
+    faces = [[(0,)] * len(level)] if level else []
+    while level:
+        for c in level:
+            if c[-1] not in succ:
+                succ[c[-1]] = view.above(c[-1])
+        index = {c: k for k, c in enumerate(level)}
+        level = [c + (j,) for c in level for j in succ[c[-1]]]
+        if level:
+            faces.append([tuple(index[s[:i] + s[i + 1:]] for i in range(len(s))) for s in level])
+    return faces
+
+
+def test_face_rows_match_the_tuple_keyed_oracle():
+    from test_homology_reduction import view_specs
+
+    cases = [(n, spec) for n in range(3, 7) for spec in view_specs(n)]
+    cases.append((7, "ranks:1,3,5"))
+    for n, spec in cases:
+        view = parse_view(n, spec)
+        faces = order_complex(view).faces
+        oracle = oracle_faces(view)
+        assert len(faces) == len(oracle), (n, spec)
+        for d, (level, expected) in enumerate(zip(faces, oracle)):
+            assert level == expected, (n, spec, d)
+
+
 def test_boundary_squares_to_zero_is_checked():
     for view in (full_view(5), modular_deleted_view(5, 3), max_block_size_view(6, 3)):
         order_complex(view).check_boundary_squares_to_zero()
@@ -151,6 +183,14 @@ def test_boundary_squares_to_zero_is_checked():
                 cc.check_boundary_squares_to_zero()
         level[0] = face
     cc.check_boundary_squares_to_zero()
+
+
+def test_augmentation_rows_are_checked():
+    # a vertex whose row is not the augmentation row breaks bd_0 bd_1 = 0
+    cc = order_complex(full_view(4))
+    cc.faces[0][3] = (1,)
+    with pytest.raises(AssertionError, match="vertex 3"):
+        cc.check_boundary_squares_to_zero()
 
 
 def test_order_complex_refused_before_every_successor_list(monkeypatch):
