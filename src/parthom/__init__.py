@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 * :mod:`parthom.symfunc` -- exact symmetric function arithmetic (five bases,
-  plethysm, inner products, skewing, positivity certificates).
+  plethysm, inner products, positivity certificates).
 * :mod:`parthom.poset` -- the refinement lattice of set partitions and its
   rank-selected, block-size-restricted and modular-deleted subposets.
 * :mod:`parthom.topology` -- order complexes, integer homology by

@@ -42,9 +42,3 @@ def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         if sub:
             total += -sub if height % 2 else sub
     return total
-
-
-def irreducible_dimension(lam) -> int:
-    """Dimension of the irreducible indexed by *lam* (character at the identity)."""
-    lam = tuple(lam)
-    return character(lam, (1,) * sum(lam))

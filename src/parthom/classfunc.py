@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import check_partition, partitions_of, zee
+from .partitions import partitions_of, zee
 from .symfunc import SymFunc, as_fraction
 
 
@@ -46,17 +46,8 @@ class ClassFunction:
             "p", {mu: v / zee(mu) for mu, v in self.values.items() if v}
         )
 
-    def __call__(self, mu) -> Fraction:
-        return self.values[check_partition(mu)]
-
     def dimension(self) -> Fraction:
         return self.values[(1,) * self.n]
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.values.values())
-
-    def is_nonnegative_integral(self) -> bool:
-        return self.is_integral() and all(v >= 0 for v in self.values.values())
 
     def supported_on_involutions(self) -> bool:
         """True when the value vanishes on every class with a cycle longer than 2."""
@@ -70,20 +61,6 @@ class ClassFunction:
         return NotImplemented
 
     __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, ClassFunction) and other.n == self.n:
-            return ClassFunction(
-                self.n, {mu: v + other.values[mu] for mu, v in self.values.items()}
-            )
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, ClassFunction) and other.n == self.n:
-            return ClassFunction(
-                self.n, {mu: v - other.values[mu] for mu, v in self.values.items()}
-            )
-        return NotImplemented
 
     def __mul__(self, c):
         return ClassFunction(self.n, {mu: v * c for mu, v in self.values.items()})

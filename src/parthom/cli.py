@@ -64,12 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", default="h", choices=("p", "h", "e", "s", "m"))
     _add_common(p)
 
-    for name in ("alpha", "beta"):
+    # inclusion-exclusion over rank subsets gives beta from alphas; alpha has no such method
+    for name, methods in (("alpha", ("recurrence", "chains")),
+                          ("beta", ("recurrence", "chains", "inclusion_exclusion"))):
         p = sub.add_parser(name, help=f"{name} module characteristic of a rank selection")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--ranks", required=True, help="comma list with ranges, '-' for empty")
-        p.add_argument("--method", default="recurrence",
-                       choices=("recurrence", "chains", "inclusion_exclusion"))
+        p.add_argument("--method", default="recurrence", choices=methods)
         p.add_argument("--basis", default="h", choices=("p", "h", "e", "s", "m"))
         p.add_argument("--mult", help="comma list from {trivial, refl}: emit a "
                        "multiplicity row instead of the characteristic; refl is "

@@ -3,7 +3,6 @@
 #: the documented size bounds, each read when a request is checked against it
 BOUNDS = {
     "ground": 10,  # ground set size for which views materialize elements
-    "chains": 1_000_000,  # maximal chains listed (counting them is never capped)
     "simplices": 250_000,  # simplices of an order complex
     "schur_degree": 14,  # degree of a conversion through the character table
     "degree": 16,  # degree of a module recurrence or a named symmetric function

@@ -70,17 +70,6 @@ def zee(lam) -> int:
     return z
 
 
-def conjugate(lam) -> tuple[int, ...]:
-    """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for part in lam:
-        for j in range(part):
-            cols[j] += 1
-    return tuple(cols)
-
-
 def canonical_sort_key(lam) -> tuple:
     """Sort key for the canonical term order: weight ascending, then
     decreasing lexicographic within a weight."""

@@ -102,12 +102,6 @@ class PosetView:
     def ranks(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_rank))
 
-    def elements_by_rank(self) -> dict[int, tuple[SetPartition, ...]]:
-        return dict(self._by_rank)
-
-    def at_rank(self, r: int) -> tuple[SetPartition, ...]:
-        return self._by_rank.get(r, ())
-
     def elements(self) -> tuple[SetPartition, ...]:
         return self._elements
 
@@ -221,41 +215,6 @@ class PosetView:
         """Upward covers inside the view (no view element strictly between)."""
         elems = self._elements
         return {x: tuple(elems[j] for j in self._covers(i)) for i, x in enumerate(elems)}
-
-    def minimal_elements(self) -> tuple[SetPartition, ...]:
-        return tuple(self._elements[i] for i in sorted(self._minimal()))
-
-    def maximal_elements(self) -> tuple[SetPartition, ...]:
-        return tuple(self._elements[i] for i in sorted(self._maximal()))
-
-    # -- chains -----------------------------------------------------------------
-
-    def maximal_chains(self) -> list[tuple[SetPartition, ...]]:
-        """All maximal chains of the view; the empty view has one empty chain.
-        Refused, after counting them, past the ``chains`` bound."""
-        refuse_past("chains", self.count_maximal_chains(),
-                    f"too many maximal chains in {self.describe()}")
-        if not self._elements:
-            return [()]
-        covers = [self._covers(i) for i in range(len(self._elements))]
-        chains: list[tuple[SetPartition, ...]] = []
-
-        def extend(prefix: list[int]):
-            up = covers[prefix[-1]]
-            if not up:
-                chains.append(tuple(self._elements[i] for i in prefix))
-            for j in up:
-                prefix.append(j)
-                extend(prefix)
-                prefix.pop()
-
-        for i in sorted(self._minimal()):
-            extend([i])
-        return chains
-
-    def count_maximal_chains(self) -> int:
-        """Number of maximal chains, by :func:`chain_sums` over cover edges."""
-        return chain_sums(self)
 
 
 def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:

@@ -35,7 +35,6 @@ from .symfunc import (
     SymFunc,
     _p_in_h_sum,
     homogeneous,
-    positivity,
     powersum,
 )
 
@@ -148,18 +147,6 @@ def _fixed_partition_counts(n: int, m: int) -> tuple[tuple[tuple[int, int], ...]
                 )
             rows[index[nu]].append((j, count))
     return tuple(tuple(row) for row in rows)
-
-
-def assert_genuine_module(f: SymFunc, label: str = "") -> None:
-    """Hard failure unless every Schur coefficient is a nonnegative integer."""
-    cert = positivity(f, "s")
-    if not cert.ok:
-        bad = {
-            lam: str(c)
-            for lam, c in cert.coefficients.items()
-            if c < 0 or c.denominator != 1
-        }
-        raise ModuleCheckError(f"{label or 'value'} is not a genuine module: {bad}")
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,6 @@ class SetPartition:
     def rank(self) -> int:
         return self.n - len(self.blocks)
 
-    def block_type(self) -> tuple[int, ...]:
-        """Block sizes as a partition of n (weakly decreasing)."""
-        return check_partition(sorted((len(b) for b in self.blocks), reverse=True))
-
     def refines(self, other: "SetPartition") -> bool:
         """True iff every block of self lies inside a block of *other*
         (self <= other in the refinement order)."""
@@ -76,16 +72,6 @@ class SetPartition:
         return "|".join(sep.join(str(x) for x in b) for b in self.blocks)
 
     __repr__ = __str__
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "SetPartition":
-        blocks = []
-        for chunk in text.split("|"):
-            if "," in chunk:
-                blocks.append([int(x) for x in chunk.split(",")])
-            else:
-                blocks.append([int(ch) for ch in chunk])
-        return cls(n, blocks)
 
 
 def restricted_growth(n: int, k: int, perm=None):

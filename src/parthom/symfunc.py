@@ -45,7 +45,6 @@ out immutable tuples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -257,22 +256,8 @@ class SymFunc:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self.terms})
-
-    def degree(self) -> int | None:
-        """Top degree, or None for the zero function."""
-        return max((sum(lam) for lam in self.terms), default=None)
-
-    def homogeneous_part(self, d: int) -> "SymFunc":
-        return SymFunc(self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == d})
-
-    def coefficient(self, lam) -> Fraction:
-        """Coefficient of the basis element indexed by *lam* (current basis)."""
-        return self.terms.get(check_partition(lam), Fraction(0))
 
     def terms_sorted(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: canonical_sort_key(kv[0]))
@@ -347,31 +332,6 @@ class SymFunc:
             a, b = b, a
         return sum((c * b[lam] * zee(lam) for lam, c in a.items() if lam in b), Fraction(0))
 
-    def skew(self, mu) -> "SymFunc":
-        """Skew by the Schur function of *mu*: the adjoint of multiplication
-        by s_mu, computed as a powersum differential operator (the adjoint of
-        multiplying by p_k is k d/dp_k)."""
-        mu = check_partition(mu)
-        if not mu:
-            return self.in_basis("p")
-        acc: Terms = {}
-        pterms = _to_p(self.basis, self.terms)
-        for nu in partitions_of(sum(mu)):
-            chi = character(mu, nu)
-            if not chi:
-                continue
-            cur = pterms
-            for part in nu:
-                cur = _d_dpk(cur, part)
-                if not cur:
-                    break
-            if cur:
-                weight = Fraction(chi, zee(nu))
-                for part in nu:
-                    weight *= part
-                _add_into(acc, cur, weight)
-        return SymFunc("p", acc)
-
     def d_dp1(self) -> "SymFunc":
         """Formal partial derivative with respect to p_1 (restriction to the
         next smaller symmetric group)."""
@@ -399,13 +359,6 @@ class SymFunc:
             tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]
         }
         return cls(data["basis"], terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymFunc":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
         if not self.terms:

@@ -74,12 +74,6 @@ class ChainComplexZ:
             out[d] = len(level)
         return out
 
-    def reduced_euler(self) -> int:
-        total = -1
-        for d, level in enumerate(self.faces):
-            total += len(level) if d % 2 == 0 else -len(level)
-        return total
-
     def check_boundary_squares_to_zero(self) -> None:
         # every vertex has the augmentation row; above it, the simplicial
         # identities: for i < j, face i of face j of a simplex is face j - 1
@@ -317,15 +311,3 @@ def concentrated_character(view: PosetView, hom: HomologyResult | None = None):
         )
     return d, chi
 
-
-def export_boundaries(cc: ChainComplexZ) -> str:
-    """Sparse triplet text format: per dimension a header line
-    ``dim <d> <rows> <cols> <nnz>`` followed by ``<row> <col> <value>``
-    lines (0-indexed), suitable for external verification."""
-    lines = []
-    for d in range(len(cc.faces)):
-        mat = boundary_matrix(cc, d)
-        lines.append(f"dim {d} {mat.nrows} {mat.ncols} {mat.nnz()}")
-        for i, j, v in sorted(mat.entries(), key=lambda t: (t[1], t[0])):
-            lines.append(f"{i} {j} {v}")
-    return "\n".join(lines) + "\n"

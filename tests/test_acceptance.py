@@ -9,7 +9,7 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from parthom.chartable import irreducible_dimension
+from parthom.chartable import character
 from parthom.classfunc import ClassFunction
 from parthom.checks import (
     conjecture_checks,
@@ -50,7 +50,7 @@ def test_01_top_homology():
         restricted = beta.d_dp1()
         assert restricted == P((1,) * (n - 1)), n
         for lam, c in restricted.in_basis("s").terms.items():
-            assert c == irreducible_dimension(lam), (n, lam)
+            assert c == character(lam, (1,) * (n - 1)), (n, lam)
     print("ACCEPTANCE 01 PASS: top homology and regular restriction, n = 3..7")
 
 

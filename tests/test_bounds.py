@@ -1,5 +1,6 @@
 """The size bounds of ``errors.BOUNDS``: each refusal on the command line,
-the method-suite cap, and the README table that documents them."""
+the method-suite cap, the reads of each bound in the source, and the README
+table that documents them."""
 
 import json
 import re
@@ -11,7 +12,8 @@ import parthom.errors as errors
 from parthom.cli import main
 from parthom.symfunc import SymFunc
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 #: bound -> (command, stderr line) of one refusal; among them the
 #: benchmark's four refusal probes, which must keep exiting 2
@@ -29,9 +31,16 @@ REFUSALS = {
 
 
 def test_every_bound_has_a_refusal_or_its_own_test():
-    # no command lists maximal chains (test_poset refuses them past the
-    # bound), and the method suite caps its range instead of refusing
-    assert set(REFUSALS) | {"chains", "method_suite"} == set(errors.BOUNDS)
+    # the method suite caps its range instead of refusing
+    assert set(REFUSALS) | {"method_suite"} == set(errors.BOUNDS)
+
+
+def test_every_bound_is_read_and_every_read_names_a_bound():
+    reads = set()
+    for path in (ROOT / "src" / "parthom").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        reads.update(re.findall(r"""(?:refuse_past\(|BOUNDS\[)\s*["'](\w+)["']""", text))
+    assert reads == set(errors.BOUNDS)
 
 
 @pytest.mark.parametrize("bound", sorted(REFUSALS))

@@ -230,6 +230,22 @@ def test_invalid_input_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_alpha_offers_only_its_own_methods(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["alpha", "--n", "5", "--ranks", "1,2", "--method", "inclusion_exclusion"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "invalid choice: 'inclusion_exclusion'" in captured.err
+    helps = {}
+    for name in ("alpha", "beta"):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        helps[name] = capsys.readouterr().out
+    assert "inclusion_exclusion" not in helps["alpha"] and "chains" in helps["alpha"]
+    assert "inclusion_exclusion" in helps["beta"]
+
+
 def test_table_bs_refuses_ground_size_below_2(capsys, monkeypatch):
     import parthom.cli as cli
 

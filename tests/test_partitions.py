@@ -3,7 +3,6 @@ import pytest
 from parthom.partitions import (
     canonical_sort_key,
     check_partition,
-    conjugate,
     multiplicities,
     partitions_of,
     zee,
@@ -61,14 +60,6 @@ def test_zee():
     assert zee((1, 1, 1)) == 6
     assert zee((2, 2)) == 8
     assert zee((4,)) == 4
-
-
-def test_conjugate():
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate(()) == ()
-    assert conjugate((2, 2)) == (2, 2)
-    for lam in partitions_of(7):
-        assert conjugate(conjugate(lam)) == lam
 
 
 def test_multiplicities():

@@ -1,10 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parthom.chartable import character, irreducible_dimension
+from parthom.chartable import character
 from parthom.partitions import partitions_of, zee
 from parthom.symfunc import (
     E,
@@ -105,7 +106,7 @@ def test_powersum_in_monomials_matches_brute_force_count():
         for mu in partitions_of(n):
             got = P(mu).in_basis("m")
             for lam in partitions_of(n):
-                assert got.coefficient(lam) == monomial_count(mu, lam), (mu, lam)
+                assert got.terms.get(lam, 0) == monomial_count(mu, lam), (mu, lam)
             # and m back to p inverts the checked table
             assert got.in_basis("p").terms == {mu: 1}
 
@@ -148,12 +149,12 @@ def test_h1_squared():
 
 def test_multiplication_by_zero():
     f = H([2, 1])
-    assert (f * SymFunc("p", {})).is_zero()
+    assert (f * SymFunc("p", {})).terms == {}
 
 
 def test_degree_of_product():
     f, g = H([2, 1]), E([3, 1])
-    assert (f * g).degree() == 7
+    assert (f * g).degrees() == [7]
 
 
 def test_commutative_associative():
@@ -196,7 +197,9 @@ def test_plethysm_with_h_sum_examples():
     # degree-3 part of h_2 composed with the h series; cross-check by
     # composing with the explicit truncated series
     g = H(1) + H(2) + H(3)
-    assert plethysm_with_h_sum(H(2), 3) == plethysm(H(2), g, 3).homogeneous_part(3)
+    truncated = plethysm(H(2), g, 3).terms
+    assert plethysm_with_h_sum(H(2), 3).terms == {
+        lam: c for lam, c in truncated.items() if sum(lam) == 3}
 
 
 @st.composite
@@ -214,11 +217,13 @@ def symfuncs(draw):
 @given(symfuncs(), st.integers(0, 9))
 def test_plethysm_with_h_sum_matches_truncated_plethysm(f, n):
     g = SymFunc("h", {(i,): 1 for i in range(1, n + 1)})
-    assert plethysm_with_h_sum(f, n) == plethysm(f, g, n).homogeneous_part(n)
+    truncated = plethysm(f, g, n).terms
+    assert plethysm_with_h_sum(f, n).terms == {
+        lam: c for lam, c in truncated.items() if sum(lam) == n}
 
 
 # ---------------------------------------------------------------------------
-# inner product, skew, twist
+# inner product, twist
 
 def test_inner_product_powersums():
     assert P([2, 1]).inner(P([2, 1])) == 2
@@ -239,21 +244,6 @@ def test_h_s_pairing():
     assert H(3).inner(S(3)) == 1
 
 
-def test_skew_examples():
-    assert H(4).skew((1,)) == H(3)
-    assert S(3).skew((3,)) == one()
-    # the adjoint computation gives 2 h_1 here: h_2 h_1 = s_3 + s_21 and both
-    # summands contain a horizontal 2-strip over (1)
-    assert (H(2) * H(1)).skew((2,)) == 2 * H(1)
-
-
-def test_skew_is_adjoint_of_schur_multiplication():
-    f = H([3, 1])
-    mu = (2,)
-    for nu in partitions_of(2):
-        assert f.skew(mu).inner(S(nu)) == f.inner(S(mu) * S(nu))
-
-
 def test_sign_twist_h_to_e():
     for n in range(1, 7):
         assert H(n).sign_twist() == E(n)
@@ -272,9 +262,11 @@ def test_sign_twist_self_conjugate_schur():
 def test_d_dp1():
     p1 = P(1)
     assert (p1 * p1 * p1).d_dp1() == 3 * P([1, 1])
-    assert P(2).d_dp1().is_zero()
+    assert P(2).d_dp1().terms == {}
+    # d/dp_1 is the adjoint of multiplication by p_1
     for f in (H(3), H([2, 1])):
-        assert f.d_dp1() == f.skew((1,))
+        for nu in partitions_of(2):
+            assert f.d_dp1().inner(S(nu)) == f.inner(P(1) * S(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,7 @@ def test_hook_schur_bounds():
 
 def test_json_round_trip():
     f = Fraction(3, 2) * H([2, 1]) - P(4)
-    g = SymFunc.from_json(f.to_json())
+    g = SymFunc.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
     assert g == f and g.basis == f.basis
 
 
@@ -333,7 +325,7 @@ def test_json_term_order_and_coeff_strings():
 
 def test_dimension():
     assert H([2, 1, 1]).dimension() == 12
-    assert S([2, 2]).dimension() == irreducible_dimension((2, 2)) == 2
+    assert S([2, 2]).dimension() == character((2, 2), (1, 1, 1, 1)) == 2
     assert one().dimension() == 1
 
 
@@ -407,16 +399,3 @@ def test_plethysm_associativity(f, g, h):
 @given(sym_funcs)
 def test_sign_twist_is_involution(f):
     assert f.sign_twist().sign_twist() == f
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(small_partitions(6)[1:]),
-    st.sampled_from(small_partitions(3)),
-    st.sampled_from(small_partitions(6)[1:]),
-)
-def test_skew_adjointness(lam, mu, nu):
-    if sum(lam) != sum(mu) + sum(nu):
-        return
-    f = H(lam)
-    assert f.skew(mu).inner(S(nu)) == f.inner(S(mu) * S(nu))

@@ -22,7 +22,6 @@ from parthom.symfunc import H
 from parthom.topology import (
     boundary_matrix,
     concentrated_character,
-    export_boundaries,
     homology,
     lefschetz_class_function,
     mobius_number,
@@ -212,20 +211,6 @@ def test_order_complex_refused_before_every_successor_list(monkeypatch):
     assert 0 < len(calls) < len(view)
 
 
-def test_export_boundaries_format():
-    text = export_boundaries(order_complex(full_view(3)))
-    lines = text.strip().split("\n")
-    assert lines[0] == "dim 0 1 3 3"
-    assert lines[1:] == ["0 0 1", "0 1 1", "0 2 1"]
-    # the matrices are built on demand from the face rows, one block per dimension
-    cc = order_complex(full_view(4))
-    text = export_boundaries(cc)
-    headers = [line for line in text.split("\n") if line.startswith("dim")]
-    assert headers == ["dim 0 1 13 13", "dim 1 13 18 36"]
-    assert "\n".join(f"{i} {j} {v}" for i, j, v in sorted(
-        boundary_matrix(cc, 1).entries(), key=lambda t: (t[1], t[0]))) in text
-
-
 # ---------------------------------------------------------------------------
 # homology of the classical cases
 
@@ -288,7 +273,7 @@ def test_mobius_equals_reduced_euler():
 def test_lefschetz_identity_entry_is_euler():
     for view in (full_view(4), full_view(5), modular_deleted_view(5, 3)):
         lef = lefschetz_class_function(view)
-        assert lef((1,) * view.n) == view_homology(view).reduced_euler()
+        assert lef.values[(1,) * view.n] == view_homology(view).reduced_euler()
 
 
 def test_lefschetz_antichain():
@@ -298,7 +283,7 @@ def test_lefschetz_antichain():
     lef = lefschetz_class_function(view)
     for mu in partitions_of(5):
         fixed = sum(len(v) for v in view.fixed_by(canonical_permutation(mu, 5)).values())
-        assert lef(mu) == fixed - 1
+        assert lef.values[mu] == fixed - 1
 
 
 def test_lefschetz_of_full_lattice_is_signed_top_homology():
