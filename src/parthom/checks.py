@@ -7,7 +7,6 @@ mathematical claim, so suites can report rather than abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -15,7 +14,6 @@ from math import comb
 from .classfunc import ClassFunction
 from .errors import BOUNDS, ConcentrationError, refuse_past
 from .poset import (
-    PosetView,
     max_block_size_view,
     modular_deleted_up_to,
     modular_deleted_view,
@@ -28,7 +26,6 @@ from .reps import (
     even_block_multiplicity,
     euler_number,
     homology_characteristic,
-    lie_character,
     multiplicities,
     schur_multiplicity,
     simsun,
@@ -51,39 +48,32 @@ def _is_initial_segment(ranks: tuple[int, ...]) -> bool:
     return ranks == tuple(range(1, len(ranks) + 1))
 
 
-@dataclass
-class Assertion:
-    name: str
-    passed: bool
-    witness: dict = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {"name": self.name, "passed": self.passed, "witness": self.witness}
-
-
-@dataclass
 class Verdict:
-    name: str
-    assertions: list[Assertion] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """Every assertion checked, as the JSON record ``{"name", "passed",
+    "witness"}``, and free-form notes."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.assertions: list[dict] = []
+        self.notes: list[str] = []
 
     def check(self, name: str, passed: bool, **witness) -> None:
-        self.assertions.append(Assertion(name, bool(passed), witness))
+        self.assertions.append({"name": name, "passed": bool(passed), "witness": witness})
 
     @property
     def passed(self) -> bool:
-        return all(a.passed for a in self.assertions)
+        return all(a["passed"] for a in self.assertions)
 
     @property
-    def failures(self) -> list[Assertion]:
-        return [a for a in self.assertions if not a.passed]
+    def failures(self) -> list[dict]:
+        return [a for a in self.assertions if not a["passed"]]
 
     def to_json_dict(self):
         return {
             "name": self.name,
             "passed": self.passed,
             "checked": len(self.assertions),
-            "failures": [a.to_json_dict() for a in self.failures],
+            "failures": self.failures,
             "notes": self.notes,
         }
 
@@ -91,14 +81,15 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # stability across the ground-set size
 
-@dataclass(kw_only=True)
 class StabilityReport(Verdict):
-    ranks: tuple[int, ...]
-    k: int
-    n_max: int
-    rows: list[dict] = field(default_factory=list)
-    onsets: dict = field(default_factory=dict)
-    onset_bound: int = 0
+    def __init__(self, name: str, ranks: tuple[int, ...], k: int, n_max: int):
+        super().__init__(name)
+        self.ranks = ranks
+        self.k = k
+        self.n_max = n_max
+        self.rows: list[dict] = []
+        self.onsets: dict = {}
+        self.onset_bound = 0
 
     def to_json_dict(self):
         return {
@@ -111,7 +102,7 @@ class StabilityReport(Verdict):
             "onsets": {key: v for key, v in self.onsets.items()},
             "onset_bound": self.onset_bound,
             "passed": self.passed,
-            "failures": [a.to_json_dict() for a in self.failures],
+            "failures": self.failures,
         }
 
 
@@ -469,6 +460,6 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
         )
     else:
         report["notes"].append("no predicted module for these parameters")
-    report["assertions"] = [a.to_json_dict() for a in verdict.assertions]
+    report["assertions"] = verdict.assertions
     report["passed"] = verdict.passed
     return report

@@ -24,7 +24,6 @@ from itertools import combinations
 
 from . import cache
 from .errors import ConcentrationError, FeasibilityError, ModuleCheckError, refuse_past
-from .partitions import canonical_sort_key
 from .poset import parse_rank_set, parse_view
 from .reps import (
     chain_characteristic,

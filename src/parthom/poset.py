@@ -15,8 +15,9 @@ bounds) of one of the named families, grouped by rank:
   the alternate-rank selection 2, 4, ...;
 * ``even-top:k`` -- the top k nontrivial ranks of ``even``.
 
-Elements are generated rank by rank with the predicate applied during
-generation, so only the selected ranks are ever materialized.  Views are
+Elements are generated rank by rank at the candidate ranks only, and a
+family's predicate is applied to each :class:`SetPartition` once built;
+views without one keep whole ranks and are rank-selected.  Views are
 immutable once built.
 
 The order relation is never stored.  The partitions above x are exactly
@@ -24,9 +25,11 @@ those obtained by merging blocks of x, so :meth:`PosetView.above` lists
 them by grouping the blocks of x (one restricted-growth string per
 grouping) and looking each merge up in the view's index, which is keyed
 by the restricted-growth string every partition carries.  Every chain
-count -- maximal chains, fixed maximal chains, Moebius numbers and
-Lefschetz values -- is the one dynamic program :func:`chain_sums`, which
-visits the kept elements in rank order and pushes values up these edges.
+count -- maximal chains and fixed maximal chains of rank-selected views,
+whose steps go to the next selected rank, and Moebius numbers and
+Lefschetz values of any view -- is the one dynamic program
+:func:`chain_sums`, which visits the kept elements in rank order and
+pushes values up these edges.
 
 For a permutation the same lookups run on generated strings only:
 :meth:`PosetView.fixed_by` generates the partitions it fixes at each rank,
@@ -156,45 +159,6 @@ class PosetView:
         out.sort()
         return out
 
-    def _covers(self, i: int, perm=None) -> list[int]:
-        """Indices of the elements covering element *i* inside the view; with
-        *perm*, which must fix element *i*, only the covers it fixes."""
-        if self.rank_selected:
-            # intervals of the lattice are graded and the view keeps whole
-            # ranks, so every cover sits at the next selected rank
-            r = self._elements[i].rank
-            return self.above(i, [s for s in self._by_rank if s > r][:1], perm)
-        # comparabilities minus those implied through a third element; in
-        # increasing (rank) order each element is seen after all below it
-        covers, implied = [], set()
-        for j in self.above(i):
-            if j not in implied:
-                covers.append(j)
-                implied.update(self.above(j))
-        if perm is not None:
-            # whether x < y is a cover depends on every element between
-            # them, fixed or not, so the fixed covers are filtered afterwards
-            fixed = set(self.above(i, perm=perm))
-            covers = [j for j in covers if j in fixed]
-        return covers
-
-    def _minimal(self) -> set[int]:
-        """Indices of the minimal elements of the view."""
-        if self.rank_selected and self._elements:
-            return set(range(len(self._by_rank[self.ranks[0]])))
-        above_some = set()
-        for i in range(len(self._elements)):
-            above_some.update(self.above(i))
-        return set(range(len(self._elements))) - above_some
-
-    def _maximal(self) -> range | set[int]:
-        """Indices of the maximal elements of the view; on a rank-selected
-        view, the range of indices of its top rank."""
-        m = len(self._elements)
-        if self.rank_selected and m:
-            return range(m - len(self._by_rank[self.ranks[-1]]), m)
-        return {i for i in range(m) if not self.above(i)}
-
     def fixed_by(self, perm) -> dict[int, tuple[SetPartition, ...]]:
         """Elements fixed (as partitions) by the permutation, by rank: the
         restricted-growth strings *perm* fixes at each rank of the view,
@@ -212,9 +176,19 @@ class PosetView:
         return out
 
     def covers(self) -> dict[SetPartition, tuple[SetPartition, ...]]:
-        """Upward covers inside the view (no view element strictly between)."""
-        elems = self._elements
-        return {x: tuple(elems[j] for j in self._covers(i)) for i, x in enumerate(elems)}
+        """Upward covers inside the view (no view element strictly between):
+        the comparabilities minus those implied through a third element."""
+        elems, out = self._elements, {}
+        for i, x in enumerate(elems):
+            # above() is in increasing (rank) order, so each element is seen
+            # after every element below it
+            ups, implied = [], set()
+            for j in self.above(i):
+                if j not in implied:
+                    ups.append(elems[j])
+                    implied.update(self.above(j))
+            out[x] = tuple(ups)
+        return out
 
 
 def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
@@ -222,17 +196,20 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
     elements fixed by *perm* (default: all of them), visited in index order,
     which is rank order.  Values move only along edges between kept
     elements, which :meth:`PosetView.above` generates as fixed merges, so
-    on rank-selected views, and for ``covers=False`` on any view, the work
-    follows the number of kept elements.
+    the work follows the number of kept elements.
 
-    With ``covers=True``: the number of maximal chains of the view made of
-    kept elements.  Values start at 1 on minimal elements, add up along
-    cover edges and are summed at maximal elements of the view (an element
-    with covers none of which is kept ends no maximal chain).  With
+    With ``covers=True``: the number of maximal chains of a rank-selected
+    view made of kept elements.  Values start at 1 at the lowest rank, add
+    up along the edges to the next selected rank and are summed at the top
+    rank; any other view raises :class:`ValueError`.  With
     ``covers=False``: the sum over chains of kept elements, the empty one
     included, of (-1)^(length - 1), i.e. the reduced Euler characteristic
-    of their order complex.  Values start at 1 and subtract along all edges.
+    of their order complex, on any view.  Values start at 1 and subtract
+    along all edges.
     """
+    if covers and not view.rank_selected:
+        raise ValueError(f"maximal chains are counted on rank-selected views only, "
+                         f"not on {view.describe()}")
     m = len(view)
     if not m:
         return 1 if covers else -1
@@ -242,18 +219,21 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
         index = view._index
         kept = (index[x.block_of] for elems in view.fixed_by(perm).values() for x in elems)
     if covers:
-        starts, ends = view._minimal(), view._maximal()
+        ranks = view.ranks
+        starts = len(view._by_rank[ranks[0]])  # indices below it: the lowest rank
+        ends = m - len(view._by_rank[ranks[-1]])  # indices from it on: the top rank
+        step = {r: (s,) for r, s in zip(ranks, ranks[1:])}
     pending = [0] * m
     total = 0 if covers else -1
     for i in kept:
         if covers:
-            value = pending[i] + (i in starts)
+            value = pending[i] + (i < starts)
             if not value:
                 continue
-            if i in ends:
+            if i >= ends:
                 total += value
                 continue
-            up = view._covers(i, perm)
+            up = view.above(i, step[view._elements[i].rank], perm)
         else:
             value = 1 - pending[i]
             total += value
@@ -397,6 +377,7 @@ def parse_rank_set(text: str) -> tuple[int, ...]:
 # fixed chains
 
 def fixed_chain_count(view: PosetView, cycle_type) -> int:
-    """Number of maximal chains of the view fixed pointwise by the canonical
-    permutation of *cycle_type* (conjugacy makes the choice immaterial)."""
+    """Number of maximal chains of the rank-selected view fixed pointwise by
+    the canonical permutation of *cycle_type* (conjugacy makes the choice
+    immaterial); any other view raises :class:`ValueError`."""
     return chain_sums(view, canonical_permutation(check_partition(cycle_type), view.n))

@@ -45,7 +45,6 @@ out immutable tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -496,29 +495,18 @@ def _p_in_h_sum(lam: tuple, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 # positivity certificates and hook Schur functions
 
-@dataclass(frozen=True)
 class Positivity:
     """Evidence for (non)positivity of a function in a given basis."""
 
-    basis: str
-    coefficients: dict
-    nonnegative: bool
-    integral: bool
+    def __init__(self, basis: str, coefficients: dict, nonnegative: bool, integral: bool):
+        self.basis = basis
+        self.coefficients = coefficients
+        self.nonnegative = nonnegative
+        self.integral = integral
 
     @property
     def ok(self) -> bool:
         return self.nonnegative and self.integral
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "nonnegative": self.nonnegative,
-            "integral": self.integral,
-            "coefficients": [
-                {"partition": list(lam), "coeff": str(c)}
-                for lam, c in sorted(self.coefficients.items(), key=lambda kv: canonical_sort_key(kv[0]))
-            ],
-        }
 
 
 def positivity(f: SymFunc, basis: str) -> Positivity:

@@ -7,7 +7,6 @@ budgets on one desktop core.
 
 import itertools
 from fractions import Fraction
-from math import factorial
 
 from parthom.chartable import character
 from parthom.classfunc import ClassFunction
@@ -17,7 +16,6 @@ from parthom.checks import (
     subposet_homology_report,
 )
 from parthom.poset import (
-    even_block_view,
     max_block_size_view,
     rank_selected_view,
 )

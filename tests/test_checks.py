@@ -80,7 +80,7 @@ def test_stability_known_constant_columns():
 def test_stability_identities_hold_along_the_way():
     rep = stability_report((2, 3), 2, 9)
     assert rep.passed
-    names = {a.name for a in rep.assertions}
+    names = {a["name"] for a in rep.assertions}
     assert "a({1} u (S+1), n+1) == a'(S, n)" in names
     assert "b'(S, n) == b({1} u (S+1), n+1) + b(S+1, n+1)" in names
     assert "b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)" in names

@@ -256,20 +256,6 @@ def test_rank_selected_chains_hit_every_rank():
         assert chain[0].refines(chain[1])
 
 
-def test_general_view_maximal_chains_agree_with_cover_paths():
-    # the deleted-modular view is not rank selected; its maximal chains may
-    # skip ranks, but every consecutive pair must be a cover
-    q = modular_deleted_view(5, 2)  # atoms removed
-    chains = oracle_maximal_chains(q)
-    covers = q.covers()
-    elems = q.elements()
-    for chain in chains:
-        assert elems.index(chain[0]) in q._minimal()
-        assert elems.index(chain[-1]) in q._maximal()
-        for a, b in zip(chain, chain[1:]):
-            assert b in covers[a]
-
-
 # ---------------------------------------------------------------------------
 # fixed chains
 
@@ -301,6 +287,7 @@ def test_fixed_element_without_fixed_cover_ends_no_chain():
     for view in (v, full_view(5), modular_deleted_view(5, 3), max_block_size_view(5, 2)):
         ups = view.covers()[atom]
         assert ups and all(act(g, y) != y for y in ups), view.describe()
+    for view in (v, full_view(5)):
         assert fixed_chain_count(view, (3, 2)) == 0, view.describe()
 
 
@@ -314,7 +301,7 @@ def test_fixed_by_generates_instead_of_filtering(monkeypatch):
         g = canonical_permutation(mu, 6)
         kept = [x for x in v.elements() if act(g, x) == x]
         by_rank = {r: tuple(x for x in kept if x.rank == r) for r in {x.rank for x in kept}}
-        expected.append((by_rank, fixed_chain_count(v, mu)))
+        expected.append((by_rank, fixed_chain_count(v, mu) if v.rank_selected else None))
 
     def forbidden(*args):
         raise AssertionError("act or refines called")
@@ -323,7 +310,8 @@ def test_fixed_by_generates_instead_of_filtering(monkeypatch):
     monkeypatch.setattr(SetPartition, "refines", forbidden)
     for (v, mu), (by_rank, count) in zip(cases, expected):
         assert v.fixed_by(canonical_permutation(mu, 6)) == by_rank
-        assert fixed_chain_count(v, mu) == count
+        if v.rank_selected:
+            assert fixed_chain_count(v, mu) == count
 
 
 def test_fixed_chain_count_transposition_on_atoms():
@@ -347,19 +335,13 @@ def test_fixed_chain_count_brute_force_cross_check():
         assert fixed_chain_count(v, mu) == brute, mu
 
 
-def test_fixed_chain_count_general_view_cross_check():
-    # the non-rank-selected branch counts paths through view covers
-    from parthom.partitions import partitions_of
-    from parthom.setparts import act as do_act
-
-    for view in (modular_deleted_view(5, 3), modular_deleted_up_to(5, 2)):
-        chains = oracle_maximal_chains(view)
-        for mu in partitions_of(5):
-            g = canonical_permutation(mu, 5)
-            brute = sum(
-                1 for chain in chains if all(do_act(g, x) == x for x in chain)
-            )
-            assert fixed_chain_count(view, mu) == brute, (view.describe(), mu)
+def test_maximal_chain_counts_refuse_views_that_are_not_rank_selected():
+    q = modular_deleted_view(5, 3)
+    with pytest.raises(ValueError, match=q.describe()):
+        fixed_chain_count(q, (1,) * 5)
+    le = parse_view(6, "le:k=2")
+    with pytest.raises(ValueError, match=le.describe()):
+        chain_sums(le)
 
 
 def test_stirling_values():

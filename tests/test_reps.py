@@ -7,7 +7,6 @@ import pytest
 from parthom.chartable import character
 from parthom.classfunc import ClassFunction
 from parthom.errors import FeasibilityError
-from parthom.partitions import partitions_of
 from parthom.poset import stirling2
 from parthom.reps import (
     chain_characteristic,

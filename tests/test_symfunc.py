@@ -10,7 +10,6 @@ from parthom.partitions import partitions_of, zee
 from parthom.symfunc import (
     E,
     H,
-    M,
     P,
     S,
     SymFunc,

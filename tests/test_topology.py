@@ -5,7 +5,6 @@ from math import factorial, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parthom.classfunc import ClassFunction
 from parthom.errors import ConcentrationError, FeasibilityError
 from parthom.partitions import partitions_of
 from parthom.poset import (
@@ -18,7 +17,6 @@ from parthom.poset import (
 )
 from parthom.reps import homology_characteristic, lie_character
 from parthom.snf import SparseIntMatrix, invariant_factors
-from parthom.symfunc import H
 from parthom.topology import (
     boundary_matrix,
     concentrated_character,
