@@ -15,42 +15,42 @@ bounds) of one of the named families, grouped by rank:
   the alternate-rank selection 2, 4, ...;
 * ``even-top:k`` -- the top k nontrivial ranks of ``even``.
 
-Elements are generated rank by rank at the candidate ranks only, and a
-family's predicate is applied to each :class:`SetPartition` once built;
-views without one keep whole ranks and are rank-selected.  Views are
-immutable once built.
+An element is its restricted-growth string: item i lies in group g[i],
+groups numbered by first item.  Each rank of a view is the cached table of
+strings with n - r values (:func:`~parthom.setparts.growth_table`), shared
+as is by views without a predicate, which keep whole ranks and are
+rank-selected.  A family's predicate reads the block sizes of each string
+and keeps a sub-tuple.  :meth:`PosetView.elements` makes the
+:class:`SetPartition` of every string only when first asked, once per
+view; no command asks.  Views are immutable once built.
 
 The order relation is never stored.  The partitions above x are exactly
 those obtained by merging blocks of x, so :meth:`PosetView.above` lists
 them by grouping the blocks of x (one restricted-growth string per
 grouping) and looking each merge up in the view's index, which is keyed
-by the restricted-growth string every partition carries.  Every chain
-count -- maximal chains and fixed maximal chains of rank-selected views,
-whose steps go to the next selected rank, and Moebius numbers and
-Lefschetz values of any view -- is the one dynamic program
-:func:`chain_sums`, which visits the kept elements in rank order and
-pushes values up these edges.
+by the string.  Every chain count -- maximal chains and fixed maximal
+chains of rank-selected views, whose steps go to the next selected rank,
+and Moebius numbers and Lefschetz values of any view -- is the one dynamic
+program :func:`chain_sums`, which pushes values up these edges in rank
+order.
 
 For a permutation the same lookups run on generated strings only:
-:meth:`PosetView.fixed_by` generates the partitions it fixes at each rank,
-and ``above(i, perm=...)`` the groupings of the blocks of a fixed element
+:meth:`PosetView.fixed_by` looks up the strings it fixes at each rank, and
+``above(i, perm=...)`` the groupings of the blocks of a fixed element
 that are invariant under the permutation induced on those blocks, i.e.
-the fixed merges.  Nothing that the permutation moves is visited.
+the fixed merges.  Nothing that the permutation moves is visited, and a
+maximal-chain count starts from the fixed strings of the lowest rank only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import BOUNDS, FeasibilityError, refuse_past
 from .partitions import check_partition
-from .setparts import (
-    SetPartition,
-    canonical_permutation,
-    growth_table,
-    restricted_growth,
-    set_partitions,
-)
+from .setparts import SetPartition, canonical_permutation, from_growth, growth_table
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
@@ -69,32 +69,33 @@ def _stirling_domain_error(n, k):
 
 
 class PosetView:
-    """An induced subposet of the partition lattice, elements cached by rank.
-    Without a *predicate* it keeps whole ranks and is ``rank_selected``."""
+    """An induced subposet of the partition lattice, its elements the
+    restricted-growth strings of each candidate rank whose block sizes pass
+    *predicate*.  Without one it keeps whole ranks and is ``rank_selected``."""
 
-    __slots__ = ("n", "spec", "rank_selected", "_by_rank", "_elements", "_index")
+    __slots__ = ("n", "spec", "rank_selected", "_by_rank", "_strings", "_index", "_elements")
 
     def __init__(self, n: int, spec: str, candidate_ranks, predicate=None):
         message = "ground set size {value} outside supported range 2..{limit}"
         if n < 2:
             raise FeasibilityError(message.format(value=n, limit=BOUNDS["ground"]))
         refuse_past("ground", n, message)
-        by_rank: dict[int, tuple[SetPartition, ...]] = {}
+        by_rank: dict[int, tuple[tuple[int, ...], ...]] = {}
         for r in sorted(candidate_ranks):
-            if not 1 <= r <= n - 2:
-                raise ValueError(f"rank {r} outside the nontrivial range [1, {n - 2}]")
-            elems = tuple(
-                x for x in set_partitions(n, n - r) if predicate is None or predicate(x)
-            )
-            if elems:
-                by_rank[r] = elems
+            table = growth_table(n, n - r)
+            if predicate is not None:
+                groups = range(n - r)
+                table = tuple(g for g in table if predicate(list(map(g.count, groups))))
+            if table:
+                by_rank[r] = table
+        strings = tuple(chain.from_iterable(by_rank.values()))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "rank_selected", predicate is None)
         object.__setattr__(self, "_by_rank", by_rank)
-        flat = tuple(x for r in sorted(by_rank) for x in by_rank[r])
-        object.__setattr__(self, "_elements", flat)
-        object.__setattr__(self, "_index", {x.block_of: i for i, x in enumerate(flat)})
+        object.__setattr__(self, "_strings", strings)
+        object.__setattr__(self, "_index", {g: i for i, g in enumerate(strings)})
+        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PosetView is immutable")
@@ -103,13 +104,16 @@ class PosetView:
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_rank))
+        return tuple(self._by_rank)
 
     def elements(self) -> tuple[SetPartition, ...]:
+        """The elements as partitions, in index order, made on the first call."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(map(from_growth, self._strings)))
         return self._elements
 
     def __len__(self):
-        return len(self._elements)
+        return len(self._strings)
 
     def __contains__(self, x: SetPartition):
         return x.block_of in self._index
@@ -124,53 +128,43 @@ class PosetView:
     # -- order structure --------------------------------------------------------
 
     def above(self, i: int, ranks=None, perm=None) -> list[int]:
-        """Indices of the view elements above element *i* at the given ranks
-        (default: every higher rank of the view), in increasing order.  Each
-        grouping of its k blocks into n - r groups is one merge at rank r.
+        """Indices of the view elements above element *i* at the given
+        increasing ranks (default: every higher rank of the view), in
+        increasing order.  Each grouping of its k blocks into n - r groups
+        is one merge at rank r; the groupings come in lexicographic order,
+        and so do the strings they merge to, which is the view's order.
 
         With *perm* (images of 1..n), which must fix element *i*, only the
         merges that *perm* fixes: the groupings invariant under the
         permutation of the blocks that *perm* induces."""
-        x = self._elements[i]
+        growth = self._strings[i]
+        k = max(growth) + 1  # its block count, so its rank is n - k
         if ranks is None:
-            ranks = [r for r in self._by_rank if r > x.rank]
-        # the index is keyed by restricted-growth strings (block_of); merging
-        # block b into group g[b] turns the string of x into g[block_of[e]]
-        index, growth, k = self._index, x.block_of, len(x.blocks)
+            ranks = [r for r in self._by_rank if r > self.n - k]
         moved = None
         if perm is not None:
             # block b goes to the block holding the image of its first item
-            moved = [growth[perm[b[0] - 1] - 1] for b in x.blocks]
-            if moved == list(range(k)):
-                moved = None
-        # lists, not iterators, feed tuple() here: a tuple built from an
-        # iterator is over-allocated and resized, which raised the chain
-        # path's peak RSS by about 0.3 MB
-        out = []
+            moved = tuple([growth[perm[growth.index(b)] - 1] for b in range(k)])
+        # merging block b into group g[b] turns the string into g[growth[e]]
+        # at each item e; a rank-selected view holds every merge at its ranks
+        lookup = self._index.__getitem__ if self.rank_selected else self._index.get
+        merge, out = itemgetter(*growth), []
         for r in ranks:
-            if moved is None:
-                groupings = growth_table(k, self.n - r)
-            else:
-                groupings = restricted_growth(k, self.n - r, moved)
-            for grouping in groupings:
-                j = index.get(tuple([grouping[b] for b in growth]))
-                if j is not None:
-                    out.append(j)
-        out.sort()
-        return out
+            out += map(lookup, map(merge, growth_table(k, self.n - r, moved)))
+        return out if self.rank_selected else [j for j in out if j is not None]
 
-    def fixed_by(self, perm) -> dict[int, tuple[SetPartition, ...]]:
-        """Elements fixed (as partitions) by the permutation, by rank: the
-        restricted-growth strings *perm* fixes at each rank of the view,
-        generated as such and looked up in the view."""
+    def fixed_by(self, perm, ranks=None) -> dict[int, list[int]]:
+        """Indices of the elements fixed (as partitions) by the permutation
+        (images of 1..n), by rank, at the given ranks (default: every rank
+        of the view): the restricted-growth strings *perm* fixes at each
+        rank, generated as such and looked up in the view."""
         if len(perm) != self.n:
             raise ValueError("permutation degree does not match ground set")
-        images = [p - 1 for p in perm]
-        index, elems = self._index, self._elements
-        out = {}
-        for r in self._by_rank:
-            found = map(index.get, restricted_growth(self.n, self.n - r, images))
-            fixed = tuple(elems[j] for j in found if j is not None)
+        images = tuple([p - 1 for p in perm])
+        index, out = self._index, {}
+        for r in self._by_rank if ranks is None else ranks:
+            found = map(index.get, growth_table(self.n, self.n - r, images))
+            fixed = [j for j in found if j is not None]
             if fixed:
                 out[r] = fixed
         return out
@@ -178,7 +172,7 @@ class PosetView:
     def covers(self) -> dict[SetPartition, tuple[SetPartition, ...]]:
         """Upward covers inside the view (no view element strictly between):
         the comparabilities minus those implied through a third element."""
-        elems, out = self._elements, {}
+        elems, out = self.elements(), {}
         for i, x in enumerate(elems):
             # above() is in increasing (rank) order, so each element is seen
             # after every element below it
@@ -192,19 +186,21 @@ class PosetView:
 
 
 def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
-    """The one dynamic program over chains of kept elements: the view
-    elements fixed by *perm* (default: all of them), visited in index order,
-    which is rank order.  Values move only along edges between kept
-    elements, which :meth:`PosetView.above` generates as fixed merges, so
-    the work follows the number of kept elements.
+    """The one dynamic program over chains of kept elements, the view
+    elements fixed by *perm* (default: all of them), visited in rank order.
+    Values move only along edges between kept elements, which
+    :meth:`PosetView.above` generates as fixed merges, so the work follows
+    the number of kept elements.
 
     With ``covers=True``: the number of maximal chains of a rank-selected
-    view made of kept elements.  Values start at 1 at the lowest rank, add
-    up along the edges to the next selected rank and are summed at the top
-    rank; any other view raises :class:`ValueError`.  With
-    ``covers=False``: the sum over chains of kept elements, the empty one
-    included, of (-1)^(length - 1), i.e. the reduced Euler characteristic
-    of their order complex, on any view.  Values start at 1 and subtract
+    view made of kept elements.  Values start at 1 at the kept elements of
+    the lowest rank, the only ones looked up; they add up along the edges
+    to the next selected rank, which reach only kept elements, and are
+    summed at the top rank.  Any other view raises :class:`ValueError`.
+    With ``covers=False``: the sum over chains of kept elements, the empty
+    one included, of (-1)^(length - 1), i.e. the reduced Euler
+    characteristic of their order complex, on any view.  Every kept
+    element is visited in index order; values start at 1 and subtract
     along all edges.
     """
     if covers and not view.rank_selected:
@@ -213,32 +209,37 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
     m = len(view)
     if not m:
         return 1 if covers else -1
-    if perm is None:
-        kept = range(m)
-    else:
-        index = view._index
-        kept = (index[x.block_of] for elems in view.fixed_by(perm).values() for x in elems)
+    ranks = view.ranks
     if covers:
-        ranks = view.ranks
         starts = len(view._by_rank[ranks[0]])  # indices below it: the lowest rank
         ends = m - len(view._by_rank[ranks[-1]])  # indices from it on: the top rank
         step = {r: (s,) for r, s in zip(ranks, ranks[1:])}
+    if perm is None:
+        kept = range(starts if covers else m)
+    else:
+        kept = chain.from_iterable(view.fixed_by(perm, ranks[:1] if covers else None).values())
+    if covers:
+        # an element is appended when a merge first reaches it; each rank is
+        # reached only from the one below, so the list stays in rank order
+        # and every value is complete when its element is visited
+        kept = list(kept)
+    strings = view._strings
     pending = [0] * m
     total = 0 if covers else -1
     for i in kept:
         if covers:
             value = pending[i] + (i < starts)
-            if not value:
-                continue
             if i >= ends:
                 total += value
                 continue
-            up = view.above(i, step[view._elements[i].rank], perm)
+            up = view.above(i, step[view.n - 1 - max(strings[i])], perm)
         else:
             value = 1 - pending[i]
             total += value
             up = view.above(i, perm=perm)
         for j in up:
+            if covers and not pending[j]:
+                kept.append(j)
             pending[j] += value
     return total
 
@@ -246,10 +247,13 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
 # ---------------------------------------------------------------------------
 # view families
 
-def _is_modular(x: SetPartition) -> int | None:
-    """Size of the unique non-singleton block, or None if not modular."""
-    big = [len(b) for b in x.blocks if len(b) > 1]
-    return big[0] if len(big) == 1 else None
+def _modular_size(sizes) -> int | None:
+    """Size of the unique non-singleton block, given the block sizes, or
+    None if the partition is not modular."""
+    big = max(sizes)
+    # the sizes exceed 1 by n - (block count) in all: when the largest block
+    # alone does, every other block is a singleton
+    return big if big > 1 and big - 1 == sum(sizes) - len(sizes) else None
 
 
 def full_view(n: int) -> PosetView:
@@ -270,7 +274,7 @@ def modular_deleted_view(n: int, k: int) -> PosetView:
     if not 2 <= k <= n - 1:
         raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
     return PosetView(
-        n, f"qnk:k={k}", range(1, n - 1), predicate=lambda x: _is_modular(x) != k
+        n, f"qnk:k={k}", range(1, n - 1), predicate=lambda sizes: _modular_size(sizes) != k
     )
 
 
@@ -279,8 +283,8 @@ def modular_deleted_up_to(n: int, k: int) -> PosetView:
     if not 2 <= k <= n - 1:
         raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
 
-    def keep(x: SetPartition) -> bool:
-        size = _is_modular(x)
+    def keep(sizes) -> bool:
+        size = _modular_size(sizes)
         return size is None or not 2 <= size <= k
 
     return PosetView(n, f"pnk:k={k}", range(1, n - 1), predicate=keep)
@@ -292,7 +296,7 @@ def max_block_size_view(n: int, k: int) -> PosetView:
         raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
     return PosetView(
         n, f"le:k={k}", range(1, n - 1),
-        predicate=lambda x: max(len(b) for b in x.blocks) <= k,
+        predicate=lambda sizes: max(sizes) <= k,
     )
 
 
@@ -302,7 +306,7 @@ def no_block_size_view(n: int, k: int) -> PosetView:
         raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
     return PosetView(
         n, f"ne:k={k}", range(1, n - 1),
-        predicate=lambda x: all(len(b) != k for b in x.blocks),
+        predicate=lambda sizes: k not in sizes,
     )
 
 

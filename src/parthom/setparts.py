@@ -7,6 +7,9 @@ partition exactly once in a stable, documented order.  Given a permutation,
 the same walk yields only the strings of the partitions it fixes, pruning
 a prefix as soon as the map it induces on the groups stops being a partial
 bijection, so the fixed partitions are generated rather than filtered.
+:func:`growth_table` caches each walk as a tuple of strings, and
+:func:`from_growth` makes a :class:`SetPartition` from a string only when
+one is asked for.
 """
 
 from __future__ import annotations
@@ -139,21 +142,27 @@ def restricted_growth(n: int, k: int, perm=None):
             yield tuple(g)
 
 
+def growth_table(n: int, k: int, perm=None) -> tuple[tuple[int, ...], ...]:
+    """The strings :func:`restricted_growth` yields, as one cached tuple:
+    every string of length n with k values, or with *perm* (a tuple of the
+    images of items 0..n-1) those whose partition *perm* fixes.  The
+    identity shares the table of ``perm=None``."""
+    if perm is not None and perm == tuple(range(n)):
+        perm = None
+    return _growth_table(n, k, perm)
+
+
 @lru_cache(maxsize=None)
-def growth_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Every restricted-growth string of length n with k values, cached: the
-    groupings of n blocks into k groups that block merges reuse."""
-    return tuple(restricted_growth(n, k))
+def _growth_table(n, k, perm):
+    return tuple(restricted_growth(n, k, perm))
 
 
-def set_partitions(n: int, k: int):
-    """Yield all partitions of {1..n} into exactly k blocks, in
-    restricted-growth-string order."""
-    for growth in restricted_growth(n, k):
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for elem, b in enumerate(growth, start=1):
-            blocks[b].append(elem)
-        yield SetPartition(n, blocks)
+def from_growth(growth) -> SetPartition:
+    """The partition of {1..n} whose item i + 1 lies in block growth[i]."""
+    blocks: list[list[int]] = [[] for _ in range(max(growth) + 1)]
+    for elem, b in enumerate(growth, start=1):
+        blocks[b].append(elem)
+    return SetPartition(len(growth), blocks)
 
 
 def canonical_permutation(mu, n: int | None = None) -> tuple[int, ...]:

@@ -26,8 +26,9 @@ from parthom.classfunc import ClassFunction
 from parthom.errors import ModuleCheckError
 from parthom.partitions import check_partition, partitions_of, zee
 from parthom.reps import _fixed_partition_counts, class_values, schur_multiplicity
-from parthom.setparts import act, canonical_permutation, set_partitions
+from parthom.setparts import act, canonical_permutation
 from parthom.symfunc import H, P, SymFunc, _p_in_h, _p_in_h_sum, _p_product_in, plethysm
+from test_chain_sums import set_partitions
 
 #: the integer tables are checked exactly for every lam with |lam| <= n <= KERNEL_N
 KERNEL_N = 9
