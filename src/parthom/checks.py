@@ -8,17 +8,11 @@ mathematical claim, so suites can report rather than abort.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .classfunc import ClassFunction
 from .errors import BOUNDS, ConcentrationError, refuse_past
-from .poset import (
-    max_block_size_view,
-    modular_deleted_up_to,
-    modular_deleted_view,
-    no_block_size_view,
-)
+from .poset import parse_view
 from .reps import (
     chain_characteristic,
     class_values,
@@ -26,7 +20,9 @@ from .reps import (
     even_block_multiplicity,
     euler_number,
     homology_characteristic,
+    lie_character,
     multiplicities,
+    rank_subsets,
     schur_multiplicity,
     simsun,
     whitehouse_module,
@@ -37,12 +33,6 @@ from .topology import concentrated_character, order_complex, homology
 
 # ---------------------------------------------------------------------------
 # small helpers
-
-def _subsets(universe):
-    universe = tuple(universe)
-    for size in range(len(universe) + 1):
-        yield from combinations(universe, size)
-
 
 def _is_initial_segment(ranks: tuple[int, ...]) -> bool:
     return ranks == tuple(range(1, len(ranks) + 1))
@@ -125,6 +115,8 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
     ranks = tuple(sorted(set(int(r) for r in ranks)))
     if not ranks:
         raise ValueError("need a nonempty rank set")
+    if ranks[0] < 1:
+        raise ValueError(f"rank set {','.join(map(str, ranks))} has rank {ranks[0]} below 1")
     k = int(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -260,7 +252,7 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
     elif name == "euler":
         for n in range(4, n_max + 1):
             total_b = total_bp = 0
-            for S in _subsets(range(1, n - 1)):
+            for S in rank_subsets(range(1, n - 1)):
                 m = multiplicities(n, S)
                 total_b += m.b
                 total_bp += m.b_prime
@@ -295,9 +287,9 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
     elif name == "method":
         cap = BOUNDS["method_suite"]
         for n in range(3, min(n_max, cap) + 1):
-            for S in _subsets(range(1, n - 1)):
-                same_a = chain_characteristic(n, S, "chains") == chain_characteristic(n, S, "recurrence")
-                same_b = homology_characteristic(n, S, "chains") == homology_characteristic(n, S, "recurrence")
+            for S in rank_subsets(range(1, n - 1)):
+                same_a = class_values(n, S, method="chains") == class_values(n, S)
+                same_b = class_values(n, S, True, "chains") == class_values(n, S, True)
                 verdict.check(f"alpha paths agree n={n} S={S}", same_a, n=n, S=list(S))
                 verdict.check(f"beta paths agree n={n} S={S}", same_b, n=n, S=list(S))
         if n_max > cap:
@@ -350,7 +342,7 @@ def _nonvanishing_applies(S: tuple[int, ...]) -> bool:
 
 def _trivial_multiplicity_checks(verdict: Verdict, n_max: int) -> None:
     for n in range(4, n_max + 1):
-        for S in _subsets(range(1, n - 1)):
+        for S in rank_subsets(range(1, n - 1)):
             m = multiplicities(n, S)
             reasons = _vanishing_reasons(S, n)
             if reasons:
@@ -372,18 +364,16 @@ def _trivial_multiplicity_checks(verdict: Verdict, n_max: int) -> None:
 # ---------------------------------------------------------------------------
 # subposet homology reports
 
-_FAMILY_BUILDERS = {
-    "qnk": modular_deleted_view,
-    "pnk": modular_deleted_up_to,
-    "le": max_block_size_view,
-    "ne": no_block_size_view,
-}
+_REPORT_FAMILIES = ("le", "ne", "pnk", "qnk")
 
 
 def _predicted_module(family: str, n: int, k: int):
     """(degree, characteristic) predicted for the family, or None."""
     if family in ("qnk", "pnk"):
         return n - 4, whitehouse_module(n, k)
+    if family == "le" and k == n - 1:
+        # no block of size n in the proper part: the view is all of it
+        return n - 3, lie_character(n)
     if family == "le" and k >= 3 and n < 2 * k + 2:
         return n - 4, whitehouse_module(n, n - 1)
     if family == "ne" and k >= 3 and n < 2 * k:
@@ -401,9 +391,9 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
     and at n = 2k + 1 homology is checked to live in degrees 2k-4, 2k-3
     only.
     """
-    if family not in _FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILY_BUILDERS)}")
-    view = _FAMILY_BUILDERS[family](n, k)
+    if family not in _REPORT_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {list(_REPORT_FAMILIES)}")
+    view = parse_view(n, f"{family}:k={k}")
     hom = homology(order_complex(view))
     report = {
         "inputs": {"family": family, "n": n, "k": k},
@@ -446,7 +436,7 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
         # no verdict here: at n = 2k the reduced Euler characteristics of
         # this view and the modular-deletion view already differ (80 vs 120
         # at n = 6, k = 3), so only the n < 2k comparison is checked
-        other = homology(order_complex(modular_deleted_view(n, k)))
+        other = homology(order_complex(parse_view(n, f"qnk:k={k}")))
         report["modular_deletion_homology"] = other.to_json_dict()
         report["notes"].append(
             "boundary case n = 2k: both homology results exposed, no comparison asserted"

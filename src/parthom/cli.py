@@ -20,13 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 
 from . import cache
 from .errors import ConcentrationError, FeasibilityError, ModuleCheckError, refuse_past
 from .poset import parse_rank_set, parse_view
 from .reps import (
     chain_characteristic,
+    class_values,
     euler_number,
     even_block_characteristic,
     even_block_multiplicity,
@@ -34,7 +34,9 @@ from .reps import (
     homology_characteristic,
     lie_character,
     multiplicities,
+    rank_subsets,
     simsun,
+    trivial_multiplicities,
     whitehouse_module,
 )
 from .symfunc import SymFunc, hook_schur
@@ -138,22 +140,24 @@ def _result_sf(args) -> dict:
 
 def _result_alpha_beta(args) -> dict:
     ranks = parse_rank_set(args.ranks)
-    fn = chain_characteristic if args.command == "alpha" else homology_characteristic
+    if args.mult and args.n < 2:
+        raise ValueError(f"{args.command} --mult needs a ground size --n >= 2, got {args.n}")
+    homology = args.command == "beta"
+    fn = homology_characteristic if homology else chain_characteristic
     f = fn(args.n, ranks, method=args.method)
     payload = _symfunc_payload(f, args.basis)
     payload["n"] = args.n
     payload["ranks"] = list(ranks)
     if args.mult:
-        m = multiplicities(args.n, ranks)
+        # paired from the class values of the printed module, by its own method
+        values = class_values(args.n, ranks, homology, args.method)
+        pair = dict(zip(("trivial", "refl"), trivial_multiplicities(args.n, values)))
         row = {}
         for name in args.mult.split(","):
             name = name.strip()
-            if name == "trivial":
-                row["trivial"] = m.a if args.command == "alpha" else m.b
-            elif name == "refl":
-                row["refl"] = m.a_prime if args.command == "alpha" else m.b_prime
-            else:
+            if name not in pair:
                 raise ValueError(f"unknown multiplicity {name!r}")
+            row[name] = pair[name]
         payload["multiplicities"] = row
     return payload
 
@@ -173,8 +177,7 @@ def _result_table(args) -> dict:
         columns = ("a_S", "a'_S", "b_S", "b'_S")
         rows = [
             {"n": args.n, "S": list(S), **dict(zip(columns, multiplicities(args.n, S)))}
-            for size in range(args.n - 1)
-            for S in combinations(range(1, args.n - 1), size)
+            for S in rank_subsets(range(1, args.n - 1))
         ]
         return {"family": "bS", "n": args.n, "rows": rows}
     limit = args.max_n
@@ -201,6 +204,8 @@ def _result_table(args) -> dict:
             for n in range(2, limit + 1)
             for k in range(2, n + 1)
         ]
+    if not rows:
+        raise ValueError(f"family {args.family!r} has no row at --max-n {limit}")
     return {"family": args.family, "rows": rows}
 
 

@@ -35,11 +35,12 @@ program :func:`chain_sums`, which pushes values up these edges in rank
 order.
 
 For a permutation the same lookups run on generated strings only:
-:meth:`PosetView.fixed_by` looks up the strings it fixes at each rank, and
-``above(i, perm=...)`` the groupings of the blocks of a fixed element
-that are invariant under the permutation induced on those blocks, i.e.
-the fixed merges.  Nothing that the permutation moves is visited, and a
-maximal-chain count starts from the fixed strings of the lowest rank only.
+``above(i, perm=...)`` looks up the groupings of the blocks of a fixed
+element that are invariant under the permutation induced on those
+blocks, i.e. the fixed merges, and ``above(None, perm=...)`` those of the
+bottom, i.e. the strings it fixes at each rank.  Nothing that the
+permutation moves is visited, and a maximal-chain count starts from the
+fixed strings of the lowest rank only.
 """
 
 from __future__ import annotations
@@ -127,17 +128,19 @@ class PosetView:
 
     # -- order structure --------------------------------------------------------
 
-    def above(self, i: int, ranks=None, perm=None) -> list[int]:
+    def above(self, i: int | None, ranks=None, perm=None) -> list[int]:
         """Indices of the view elements above element *i* at the given
         increasing ranks (default: every higher rank of the view), in
         increasing order.  Each grouping of its k blocks into n - r groups
         is one merge at rank r; the groupings come in lexicographic order,
         and so do the strings they merge to, which is the view's order.
+        ``i=None`` is the bottom of the lattice, ``tuple(range(n))``, whose
+        merges are all the strings of each rank.
 
         With *perm* (images of 1..n), which must fix element *i*, only the
         merges that *perm* fixes: the groupings invariant under the
         permutation of the blocks that *perm* induces."""
-        growth = self._strings[i]
+        growth = tuple(range(self.n)) if i is None else self._strings[i]
         k = max(growth) + 1  # its block count, so its rank is n - k
         if ranks is None:
             ranks = [r for r in self._by_rank if r > self.n - k]
@@ -153,19 +156,15 @@ class PosetView:
             out += map(lookup, map(merge, growth_table(k, self.n - r, moved)))
         return out if self.rank_selected else [j for j in out if j is not None]
 
-    def fixed_by(self, perm, ranks=None) -> dict[int, list[int]]:
+    def fixed_by(self, perm) -> dict[int, list[int]]:
         """Indices of the elements fixed (as partitions) by the permutation
-        (images of 1..n), by rank, at the given ranks (default: every rank
-        of the view): the restricted-growth strings *perm* fixes at each
-        rank, generated as such and looked up in the view."""
+        (images of 1..n), by rank: at each rank r the merges of the bottom
+        that *perm* fixes, ``above(None, [r], perm)``."""
         if len(perm) != self.n:
             raise ValueError("permutation degree does not match ground set")
-        images = tuple([p - 1 for p in perm])
-        index, out = self._index, {}
-        for r in self._by_rank if ranks is None else ranks:
-            found = map(index.get, growth_table(self.n, self.n - r, images))
-            fixed = [j for j in found if j is not None]
-            if fixed:
+        out = {}
+        for r in self._by_rank:
+            if fixed := self.above(None, [r], perm):
                 out[r] = fixed
         return out
 
@@ -193,15 +192,16 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
     the number of kept elements.
 
     With ``covers=True``: the number of maximal chains of a rank-selected
-    view made of kept elements.  Values start at 1 at the kept elements of
-    the lowest rank, the only ones looked up; they add up along the edges
-    to the next selected rank, which reach only kept elements, and are
-    summed at the top rank.  Any other view raises :class:`ValueError`.
+    view made of kept elements.  The bottom of the lattice seeds 1 at its
+    kept merges at the lowest rank, ``view.above(None, [lowest], perm)``,
+    the only elements looked up; values add up along the edges to the next
+    selected rank, which reach only kept elements, and are summed at the
+    top rank.  Any other view raises :class:`ValueError`.
     With ``covers=False``: the sum over chains of kept elements, the empty
     one included, of (-1)^(length - 1), i.e. the reduced Euler
-    characteristic of their order complex, on any view.  Every kept
-    element is visited in index order; values start at 1 and subtract
-    along all edges.
+    characteristic of their order complex, on any view.  The bottom, as
+    the empty chain, seeds -1 at every kept element; they are visited in
+    index order and values subtract along all edges.
     """
     if covers and not view.rank_selected:
         raise ValueError(f"maximal chains are counted on rank-selected views only, "
@@ -211,30 +211,26 @@ def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
         return 1 if covers else -1
     ranks = view.ranks
     if covers:
-        starts = len(view._by_rank[ranks[0]])  # indices below it: the lowest rank
         ends = m - len(view._by_rank[ranks[-1]])  # indices from it on: the top rank
         step = {r: (s,) for r, s in zip(ranks, ranks[1:])}
-    if perm is None:
-        kept = range(starts if covers else m)
-    else:
-        kept = chain.from_iterable(view.fixed_by(perm, ranks[:1] if covers else None).values())
-    if covers:
-        # an element is appended when a merge first reaches it; each rank is
-        # reached only from the one below, so the list stays in rank order
-        # and every value is complete when its element is visited
-        kept = list(kept)
+    kept = view.above(None, ranks[:1] if covers else None, perm)
     strings = view._strings
     pending = [0] * m
+    for i in kept:
+        pending[i] = 1 if covers else -1
     total = 0 if covers else -1
+    # with covers, an element is appended when a merge first reaches it;
+    # each rank is reached only from the one below, so the list stays in
+    # rank order and every value is complete when its element is visited
     for i in kept:
         if covers:
-            value = pending[i] + (i < starts)
+            value = pending[i]
             if i >= ends:
                 total += value
                 continue
             up = view.above(i, step[view.n - 1 - max(strings[i])], perm)
         else:
-            value = 1 - pending[i]
+            value = -pending[i]
             total += value
             up = view.above(i, perm=perm)
         for j in up:

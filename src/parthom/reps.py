@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial
 from operator import mul, sub
 from typing import NamedTuple
@@ -38,32 +38,64 @@ from .symfunc import (
     powersum,
 )
 
-def _ranks_tuple(n: int, ranks) -> tuple[int, ...]:
-    """The sorted rank set, once the degree and every rank are in bounds."""
-    refuse_past("degree", n)
-    out = tuple(sorted(set(int(r) for r in ranks)))
-    for r in out:
-        if not 1 <= r <= n - 2:
-            raise ValueError(f"rank {r} outside [1, {n - 2}] for ground size {n}")
-    return out
-
-
 def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
     """Frobenius characteristic of the symmetric group action on the maximal
     chains of the rank-selected subposet (the alpha module of the rank set).
 
     The empty rank set gives the trivial module h_n (a single empty chain).
     """
-    return _characteristic(n, _chain_values(n, _ranks_tuple(n, ranks), method))
+    return _characteristic(n, class_values(n, ranks, method=method))
 
 
-def _chain_values(n: int, ranks: tuple[int, ...], method: str) -> tuple[int, ...]:
+def homology_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
+    """Frobenius characteristic of the action on the top homology of the
+    rank-selected subposet (the beta module of the rank set)."""
+    return _characteristic(n, class_values(n, ranks, homology=True, method=method))
+
+
+def class_values(n: int, ranks, homology: bool = False,
+                 method: str = "recurrence") -> tuple[int, ...]:
+    """Integer class values over ``partitions_of(n)`` of the alpha module of
+    a rank set, or with ``homology`` of its beta module.
+
+    ``recurrence`` peels the lowest rank s1: alpha_S(n) is N_{n,n-s1} applied
+    to alpha of S - s1 in degree n - s1, and beta subtracts beta of S
+    without s1 from the same product.  ``chains`` counts the maximal chains
+    that one permutation of each cycle type fixes, independently of the
+    recurrence.  For beta, ``chains`` and ``inclusion_exclusion`` sum
+    (-1)^|S - T| alpha_T over the subsets T of S, with chain-counted alphas
+    and with alphas from the recurrence respectively.
+    """
+    refuse_past("degree", n)
+    ranks = tuple(sorted(set(int(r) for r in ranks)))
+    for r in ranks:
+        if not 1 <= r <= n - 2:
+            raise ValueError(f"rank {r} outside [1, {n - 2}] for ground size {n}")
     if method == "recurrence":
-        return _recurrence(n, ranks, False)
+        return _recurrence(n, ranks, homology)
     if method == "chains":
         refuse_past("chain_degree", n, "chain path refused for n={value} > {limit}")
-        return _fixed_chain_values(n, ranks)
-    raise ValueError(f"unknown method {method!r} (use 'recurrence' or 'chains')")
+        alpha = _fixed_chain_values
+    elif method == "inclusion_exclusion":
+        alpha = lambda m, subset: _recurrence(m, subset, False)
+    else:
+        raise ValueError(
+            f"unknown method {method!r} (use 'recurrence', 'inclusion_exclusion' or 'chains')"
+        )
+    if not homology:
+        return alpha(n, ranks)
+    values = [0] * len(partitions_of(n))
+    for subset in rank_subsets(ranks):
+        sign = (-1) ** (len(ranks) - len(subset))
+        values = [v + sign * a for v, a in zip(values, alpha(n, subset))]
+    return tuple(values)
+
+
+def rank_subsets(ranks):
+    """Every subset of the rank set, by size, each size in lexicographic
+    order."""
+    ranks = tuple(ranks)
+    return chain.from_iterable(combinations(ranks, size) for size in range(len(ranks) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -72,40 +104,6 @@ def _fixed_chain_values(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     chains of the rank-selected view fixed by each cycle type."""
     view = rank_selected_view(n, ranks)
     return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
-
-
-def homology_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
-    """Frobenius characteristic of the action on the top homology of the
-    rank-selected subposet (the beta module of the rank set).
-
-    ``recurrence`` peels the lowest rank:
-    beta(S) = beta(S - s1 inside degree n - s1) composed with the h-sum,
-    minus beta(S without s1).  ``inclusion_exclusion`` sums signed chain
-    modules over subsets of S (with alphas from the recurrence), and
-    ``chains`` does the same on top of chain-counted alphas, making it
-    fully independent of the recurrence.
-    """
-    ranks = _ranks_tuple(n, ranks)
-    if method == "recurrence":
-        values = _recurrence(n, ranks, True)
-    elif method in ("inclusion_exclusion", "chains"):
-        alpha_method = "chains" if method == "chains" else "recurrence"
-        values = [0] * len(partitions_of(n))
-        for size in range(len(ranks) + 1):
-            sign = (-1) ** (len(ranks) - size)
-            for subset in combinations(ranks, size):
-                values = [v + sign * a for v, a in zip(values, _chain_values(n, subset, alpha_method))]
-    else:
-        raise ValueError(
-            f"unknown method {method!r} (use 'recurrence', 'inclusion_exclusion' or 'chains')"
-        )
-    return _characteristic(n, values)
-
-
-def class_values(n: int, ranks, homology: bool = False) -> tuple[int, ...]:
-    """Integer class values over ``partitions_of(n)`` of the alpha module of
-    a rank set, or with ``homology`` of its beta module, by the recurrence."""
-    return _recurrence(n, _ranks_tuple(n, ranks), homology)
 
 
 def _characteristic(n: int, values) -> SymFunc:
@@ -220,12 +218,17 @@ def _class_weights(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(factorial(n) // zee(nu) * character(lam, nu) for nu in partitions_of(n))
 
 
+def trivial_multiplicities(n: int, values: tuple[int, ...]) -> tuple[int, int]:
+    """(trivial, refl) of integer class values over ``partitions_of(n)``:
+    the trivial multiplicity, and the trivial multiplicity after restriction
+    to the point stabilizer, <chi, h_n> + <chi, s_(n-1,1)>."""
+    trivial = schur_multiplicity(values, (n,))
+    return trivial, trivial + schur_multiplicity(values, (n - 1, 1))
+
+
 def multiplicities(n: int, ranks) -> Multiplicities:
-    pairs = []
-    for values in (class_values(n, ranks), class_values(n, ranks, homology=True)):
-        trivial = schur_multiplicity(values, (n,))
-        pairs += [trivial, trivial + schur_multiplicity(values, (n - 1, 1))]
-    return Multiplicities(*pairs)
+    return Multiplicities(*trivial_multiplicities(n, class_values(n, ranks)),
+                          *trivial_multiplicities(n, class_values(n, ranks, homology=True)))
 
 
 # ---------------------------------------------------------------------------

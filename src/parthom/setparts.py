@@ -94,8 +94,6 @@ def restricted_growth(n: int, k: int, perm=None):
     if n == 0:
         yield ()
         return
-    if perm is not None and all(j == i for i, j in enumerate(perm)):
-        perm = None  # the identity fixes every string
     if perm is not None:
         # the pairs (j, perm[j]) whose later item is i, so complete at item i
         completed = [[] for _ in range(n)]

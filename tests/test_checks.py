@@ -123,6 +123,31 @@ def test_subposet_report_no_size_k_past_boundary():
     assert rep["homology"]["torsion"] == {}
 
 
+def test_stability_rejects_a_rank_below_1_before_the_first_n(monkeypatch):
+    import parthom.checks as checks
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("class values computed for a rank set with a rank below 1")
+
+    monkeypatch.setattr(checks, "class_values", forbidden)
+    for ranks, text in (((0,), "0"), ((0, 3), "0,3"), ((-2, 0, 3), "-2,0,3")):
+        with pytest.raises(ValueError) as exc:
+            stability_report(ranks, 1, 5)
+        assert str(exc.value) == f"rank set {text} has rank {ranks[0]} below 1"
+
+
+def test_every_predicted_module_holds_up_to_n_6():
+    # le:k=n-1 is the whole proper part: lie(n) in degree n - 3
+    from parthom.checks import _predicted_module
+
+    cases = [(family, n, k) for family in ("qnk", "pnk", "le", "ne")
+             for n in range(4, 7) for k in range(2, n)
+             if _predicted_module(family, n, k) is not None]
+    assert {("le", 4, 3), ("le", 5, 4), ("le", 6, 5)} <= set(cases)
+    failed = [case for case in cases if not subposet_homology_report(*case)["passed"]]
+    assert failed == []
+
+
 def test_subposet_report_invalid_family():
     with pytest.raises(ValueError):
         subposet_homology_report("xyz", 5, 3)

@@ -263,6 +263,63 @@ def test_table_bs_refuses_ground_size_below_2(capsys, monkeypatch):
     assert code == 0 and [row["S"] for row in json.loads(out)["rows"]] == [[]]
 
 
+def test_mult_refused_below_ground_size_2(capsys):
+    for command in ("alpha", "beta"):
+        for n in ("0", "1"):
+            code = main([command, "--n", n, "--ranks", "-", "--mult", "trivial", "--no-cache"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (command, n)
+            assert captured.err == f"error: {command} --mult needs a ground size --n >= 2, got {n}\n"
+            # the module itself is still printed without --mult
+            assert main([command, "--n", n, "--ranks", "-", "--no-cache"]) == 0
+            capsys.readouterr()
+
+
+def test_mult_by_chains_matches_the_recurrence_on_every_rank_set(capsys):
+    # --mult pairs the class values of the printed module by its own method
+    import parthom.reps as reps
+
+    reps._fixed_chain_values.cache_clear()
+    for command in ("alpha", "beta"):
+        for S in reps.rank_subsets(range(1, 6)):
+            ranks = ",".join(map(str, S)) or "-"
+            rows = [run(capsys, command, "--n", "7", "--ranks", ranks, "--method", method,
+                        "--mult", "trivial,refl", "--format", "tsv", "--no-cache")
+                    for method in ("recurrence", "chains")]
+            assert rows[0] == rows[1] and rows[0][0] == 0, (command, S)
+    # every rank set's alpha was counted on chains
+    assert reps._fixed_chain_values.cache_info().currsize == 2 ** 5
+
+
+def test_stability_report_rank_below_1_exit_2(capsys):
+    for ranks in ("0", "0,3"):
+        code = main(["report", "--family", "stability", "--ranks", ranks, "--k", "1",
+                     "--max-n", "5", "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: rank set {ranks} has rank 0 below 1\n"
+
+
+def test_tables_with_no_row_exit_2(capsys):
+    commands = [("table", "--family", family) for family in ("euler", "simsun", "bi", "ek")]
+    commands += [(name,) for name in ("euler", "simsun", "bi")]
+    for command in commands:
+        family = command[-1]
+        refused = []
+        for max_n in range(-1, 4):
+            code = main([*command, "--max-n", str(max_n), "--format", "json", "--no-cache"])
+            captured = capsys.readouterr()
+            if code == 0:
+                assert json.loads(captured.out)["rows"], (command, max_n)
+                continue
+            assert code == 2 and captured.out == "", (command, max_n)
+            assert captured.err == f"error: family {family!r} has no row at --max-n {max_n}\n"
+            refused.append(max_n)
+        # the bounds below the first row are refused, the rest print rows
+        first = {"euler": 0, "simsun": 1, "bi": 2, "ek": 2}[family]
+        assert refused == list(range(-1, first)), command
+
+
 def test_check_suite_that_checks_nothing_exit_2(capsys):
     for suite, max_n in (("even", "1"), ("method", "2"), ("conj-3.9", "1")):
         code, out = run(capsys, "check", "--suite", suite, "--max-n", max_n,

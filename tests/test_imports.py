@@ -25,9 +25,7 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py imports names only to re-export them
-    paths = [p for d in ("src/parthom", "tests") for p in sorted((ROOT / d).glob("*.py"))
-             if p.name != "__init__.py"]
+    paths = [p for d in ("src/parthom", "tests") for p in sorted((ROOT / d).glob("*.py"))]
     assert len(paths) > 20
     found = {str(p.relative_to(ROOT)): names for p in paths if (names := unused_imports(p))}
     assert found == {}
@@ -36,6 +34,16 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_cli_import_pulls_in_no_dataclasses_or_inspect():
     code = ("import sys, parthom.cli; "
             "print(','.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == ""
+
+
+def test_package_import_loads_no_module():
+    # the package re-exports nothing, so a command pays only for the modules it imports
+    code = ("import sys, parthom; "
+            "print(','.join(m for m in sys.modules if m.startswith('parthom.')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
