@@ -12,7 +12,7 @@ from math import comb
 
 from .classfunc import ClassFunction
 from .errors import BOUNDS, ConcentrationError, refuse_past
-from .poset import parse_view
+from .poset import BLOCK_SIZE_FAMILIES, parse_view
 from .reps import (
     chain_characteristic,
     class_values,
@@ -28,7 +28,7 @@ from .reps import (
     whitehouse_module,
 )
 from .symfunc import SymFunc, homogeneous, positivity
-from .topology import concentrated_character, order_complex, homology
+from .topology import concentrated_character, view_homology
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,9 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
 # ---------------------------------------------------------------------------
 # conjecture and theorem checkers
 
+CHECK_SUITES = ("conj-3.9", "conj-3.7", "hh", "euler", "orbit", "even", "method")
+
+
 def _check_even_top_h_positive(verdict: Verdict, n: int, k: int) -> None:
     ranks = tuple(range(2 * n - 2 * k, 2 * n - 1, 2))
     beta = homology_characteristic(2 * n, ranks)
@@ -364,9 +367,6 @@ def _trivial_multiplicity_checks(verdict: Verdict, n_max: int) -> None:
 # ---------------------------------------------------------------------------
 # subposet homology reports
 
-_REPORT_FAMILIES = ("le", "ne", "pnk", "qnk")
-
-
 def _predicted_module(family: str, n: int, k: int):
     """(degree, characteristic) predicted for the family, or None."""
     if family in ("qnk", "pnk"):
@@ -391,10 +391,11 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
     and at n = 2k + 1 homology is checked to live in degrees 2k-4, 2k-3
     only.
     """
-    if family not in _REPORT_FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {list(_REPORT_FAMILIES)}")
+    if family not in BLOCK_SIZE_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; "
+                         f"expected one of {sorted(BLOCK_SIZE_FAMILIES)}")
     view = parse_view(n, f"{family}:k={k}")
-    hom = homology(order_complex(view))
+    hom = view_homology(view)
     report = {
         "inputs": {"family": family, "n": n, "k": k},
         "methods": ["snf-homology", "lefschetz-character"],
@@ -436,7 +437,7 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
         # no verdict here: at n = 2k the reduced Euler characteristics of
         # this view and the modular-deletion view already differ (80 vs 120
         # at n = 6, k = 3), so only the n < 2k comparison is checked
-        other = homology(order_complex(parse_view(n, f"qnk:k={k}")))
+        other = view_homology(parse_view(n, f"qnk:k={k}"))
         report["modular_deletion_homology"] = other.to_json_dict()
         report["notes"].append(
             "boundary case n = 2k: both homology results exposed, no comparison asserted"

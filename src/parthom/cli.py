@@ -3,9 +3,8 @@
 Commands: ``sf`` (named symmetric functions), ``alpha`` / ``beta`` (chain
 and homology module characteristics of a rank selection), ``homology``
 (integer homology of a named subposet), ``table`` (multiplicity and
-number tables), ``check`` (verification suites), ``euler`` / ``simsun`` /
-``bi`` (integer sequences) and ``report`` (subposet homology and
-stability reports).
+number tables), ``check`` (verification suites) and ``report`` (subposet
+homology and stability reports).
 
 Every run is deterministic given its parameters; results are cached on
 disk keyed by command, canonical parameters and the package's sources, so
@@ -23,7 +22,7 @@ import sys
 
 from . import cache
 from .errors import ConcentrationError, FeasibilityError, ModuleCheckError, refuse_past
-from .poset import parse_rank_set, parse_view
+from .poset import BLOCK_SIZE_FAMILIES, parse_rank_set, parse_view
 from .reps import (
     chain_characteristic,
     class_values,
@@ -40,10 +39,8 @@ from .reps import (
     whitehouse_module,
 )
 from .symfunc import SymFunc, hook_schur
-from .checks import conjecture_checks, stability_report, subposet_homology_report
-from .topology import order_complex, homology as compute_homology
-
-CHECK_SUITES = ("conj-3.9", "conj-3.7", "hh", "euler", "orbit", "even", "method")
+from .checks import CHECK_SUITES, conjecture_checks, stability_report, subposet_homology_report
+from .topology import view_homology
 
 
 def _add_common(sub):
@@ -95,15 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     _add_common(p)
 
-    for name, text in (("euler", "zigzag numbers"), ("simsun", "simsun orbit multiplicities"),
-                       ("bi", "even-block orbit multiplicities")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--max-n", type=int, required=True)
-        p.set_defaults(family=name)
-        _add_common(p)
-
     p = sub.add_parser("report", help="subposet homology or stability report")
-    p.add_argument("--family", required=True, choices=("qnk", "pnk", "le", "ne", "stability"))
+    p.add_argument("--family", required=True, choices=(*BLOCK_SIZE_FAMILIES, "stability"))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--ranks")
@@ -163,9 +153,7 @@ def _result_alpha_beta(args) -> dict:
 
 
 def _result_homology(args) -> dict:
-    view = parse_view(args.n, args.poset)
-    hom = compute_homology(order_complex(view))
-    return hom.to_json_dict()
+    return view_homology(parse_view(args.n, args.poset)).to_json_dict()
 
 
 def _result_table(args) -> dict:
@@ -295,14 +283,8 @@ _RESULTS = {
     "homology": _result_homology,
     "table": _result_table,
     "check": _result_check,
-    "euler": _result_table,
-    "simsun": _result_table,
-    "bi": _result_table,
     "report": _result_report,
 }
-
-#: commands whose payloads are worth caching
-_CACHED_COMMANDS = {"sf", "alpha", "beta", "homology", "table", "report"}
 
 
 def _cache_params(args) -> dict:
@@ -318,7 +300,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cache_dir = None
-        if args.command in _CACHED_COMMANDS and not args.no_cache:
+        # every command but check caches its payload
+        if args.command != "check" and not args.no_cache:
             cache_dir = args.cache_dir or cache.default_cache_dir()
         params = _cache_params(args)
         data = cache.load(cache_dir, args.command, params)

@@ -1,7 +1,9 @@
 """Subposets of the set-partition lattice and their chains.
 
 A :class:`PosetView` materializes the proper part (never the adjoined
-bounds) of one of the named families, grouped by rank:
+bounds) of one of the named families, grouped by rank.  :func:`parse_view`
+is the only constructor of a named view; it reads the block-size families
+from :data:`BLOCK_SIZE_FAMILIES`:
 
 * ``full`` -- all of the proper part, ranks 1..n-2;
 * ``ranks:S`` -- the rank-selected subposet for S inside [1, n-2];
@@ -45,28 +47,12 @@ fixed strings of the lowest rank only.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
 from .errors import BOUNDS, FeasibilityError, refuse_past
 from .partitions import check_partition
 from .setparts import SetPartition, canonical_permutation, from_growth, growth_table
-
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Number of set partitions of an n-set with k blocks."""
-    if n < 0 or k < 0 or k > n:
-        return 0 if n >= 0 and 0 <= k else _stirling_domain_error(n, k)
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-def _stirling_domain_error(n, k):
-    raise ValueError(f"stirling2 needs 0 <= k <= n, got n={n}, k={k}")
 
 
 class PosetView:
@@ -115,9 +101,6 @@ class PosetView:
 
     def __len__(self):
         return len(self._strings)
-
-    def __contains__(self, x: SetPartition):
-        return x.block_of in self._index
 
     def describe(self) -> str:
         return f"{self.spec},n={self.n}"
@@ -252,85 +235,29 @@ def _modular_size(sizes) -> int | None:
     return big if big > 1 and big - 1 == sum(sizes) - len(sizes) else None
 
 
-def full_view(n: int) -> PosetView:
-    return PosetView(n, "full", range(1, n - 1))
+def rank_set(n: int, ranks) -> tuple[int, ...]:
+    """The rank set sorted without repeats, each rank checked to lie in
+    [1, n - 2]."""
+    ranks = tuple(sorted(set(map(int, ranks))))
+    for r in ranks:
+        if not 1 <= r <= n - 2:
+            raise ValueError(f"rank {r} outside [1, {n - 2}] for ground size {n}")
+    return ranks
 
 
 def rank_selected_view(n: int, ranks) -> PosetView:
-    ranks = tuple(sorted(set(int(r) for r in ranks)))
-    for r in ranks:
-        if not 1 <= r <= n - 2:
-            raise ValueError(f"rank {r} outside [1, {n - 2}]")
-    spec = "ranks:" + ",".join(map(str, ranks)) if ranks else "ranks:"
-    return PosetView(n, spec, ranks)
+    ranks = rank_set(n, ranks)
+    return PosetView(n, "ranks:" + ",".join(map(str, ranks)), ranks)
 
 
-def modular_deleted_view(n: int, k: int) -> PosetView:
-    """Delete the modular elements whose non-singleton block has size k."""
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-    return PosetView(
-        n, f"qnk:k={k}", range(1, n - 1), predicate=lambda sizes: _modular_size(sizes) != k
-    )
-
-
-def modular_deleted_up_to(n: int, k: int) -> PosetView:
-    """Delete every modular element with non-singleton block size 2..k."""
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-
-    def keep(sizes) -> bool:
-        size = _modular_size(sizes)
-        return size is None or not 2 <= size <= k
-
-    return PosetView(n, f"pnk:k={k}", range(1, n - 1), predicate=keep)
-
-
-def max_block_size_view(n: int, k: int) -> PosetView:
-    """Partitions all of whose blocks have size at most k."""
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-    return PosetView(
-        n, f"le:k={k}", range(1, n - 1),
-        predicate=lambda sizes: max(sizes) <= k,
-    )
-
-
-def no_block_size_view(n: int, k: int) -> PosetView:
-    """Partitions with no block of size exactly k."""
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-    return PosetView(
-        n, f"ne:k={k}", range(1, n - 1),
-        predicate=lambda sizes: k not in sizes,
-    )
-
-
-def even_block_view(n: int) -> PosetView:
-    """Partitions with an even number of blocks: ranks n-2, n-4, ... down to 2."""
-    if n % 2 or n < 4:
-        raise ValueError(f"even-block view needs an even ground size >= 4, got {n}")
-    return PosetView(n, "even", range(2, n - 1, 2))
-
-
-def even_block_top_view(n: int, k: int) -> PosetView:
-    """Top k nontrivial ranks of the even-block view."""
-    if n % 2 or n < 4:
-        raise ValueError(f"even-block view needs an even ground size >= 4, got {n}")
-    if not 1 <= k <= n // 2 - 1:
-        raise ValueError(f"need 1 <= k <= n/2-1, got k={k}")
-    ranks = range(n - 2 * k, n - 1, 2)
-    return PosetView(n, f"even-top:k={k}", ranks)
-
-
-_FAMILIES = {
-    "full": lambda n, arg: full_view(n),
-    "qnk": lambda n, arg: modular_deleted_view(n, arg),
-    "pnk": lambda n, arg: modular_deleted_up_to(n, arg),
-    "le": lambda n, arg: max_block_size_view(n, arg),
-    "ne": lambda n, arg: no_block_size_view(n, arg),
-    "even": lambda n, arg: even_block_view(n),
-    "even-top": lambda n, arg: even_block_top_view(n, arg),
+#: the block-size families, each a predicate on (block sizes, k): qnk and pnk
+#: delete the modular elements whose non-singleton block has size k, or any
+#: size 2..k; le keeps every block of size at most k, ne no block of size k
+BLOCK_SIZE_FAMILIES = {
+    "qnk": lambda sizes, k: _modular_size(sizes) != k,
+    "pnk": lambda sizes, k: (size := _modular_size(sizes)) is None or not 2 <= size <= k,
+    "le": lambda sizes, k: max(sizes) <= k,
+    "ne": lambda sizes, k: k not in sizes,
 }
 
 
@@ -339,37 +266,57 @@ def parse_view(n: int, spec: str) -> PosetView:
     ``qnk:k=3``, ``le:k=2``, ``even``, ``even-top:k=2``."""
     spec = spec.strip()
     if spec.startswith("ranks:"):
-        body = spec[len("ranks:"):].strip()
-        ranks = parse_rank_set(body) if body and body != "-" else ()
-        return rank_selected_view(n, ranks)
+        return rank_selected_view(n, parse_rank_set(spec[len("ranks:"):]))
     name, _, arg = spec.partition(":")
-    if name not in _FAMILIES:
+    if name not in BLOCK_SIZE_FAMILIES and name not in ("full", "even", "even-top"):
         raise ValueError(f"unknown view spec {spec!r}")
     k = None
     if arg:
-        if not arg.startswith("k="):
+        value = arg[2:].strip()
+        if not arg.startswith("k=") or not _is_decimal(value.removeprefix("-")):
             raise ValueError(f"malformed view parameter in {spec!r}")
-        k = int(arg[2:])
-    if name in ("qnk", "pnk", "le", "ne", "even-top") and k is None:
+        k = int(value)
+    if name == "full":
+        return PosetView(n, "full", range(1, n - 1))
+    if k is None and name != "even":
         raise ValueError(f"view {name!r} needs k=")
-    return _FAMILIES[name](n, k)
+    if name in BLOCK_SIZE_FAMILIES:
+        if not 2 <= k <= n - 1:
+            raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
+        keep = BLOCK_SIZE_FAMILIES[name]
+        return PosetView(n, f"{name}:k={k}", range(1, n - 1), lambda sizes: keep(sizes, k))
+    # partitions with an even number of blocks: ranks n-2, n-4, ... down to
+    # 2, or the top k of them
+    if n % 2 or n < 4:
+        raise ValueError(f"even-block view needs an even ground size >= 4, got {n}")
+    if name == "even":
+        return PosetView(n, "even", range(2, n - 1, 2))
+    if not 1 <= k <= n // 2 - 1:
+        raise ValueError(f"need 1 <= k <= n/2-1, got k={k}")
+    return PosetView(n, f"even-top:k={k}", range(n - 2 * k, n - 1, 2))
+
+
+def _is_decimal(text: str) -> bool:
+    # int() would also take a sign, underscores and non-ASCII digits
+    return text.isascii() and text.isdigit()
 
 
 def parse_rank_set(text: str) -> tuple[int, ...]:
-    """Parse comma lists with ranges: ``1-3,5`` -> (1, 2, 3, 5); ``-`` is empty."""
+    """Parse comma lists with ranges: ``1-3,5`` -> (1, 2, 3, 5); ``-`` is empty.
+    Each rank is ASCII digits, with whitespace around it allowed."""
     text = text.strip()
     if not text or text == "-":
         return ()
     out: set[int] = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "-" in chunk:
-            lo, hi = (int(part) for part in chunk.split("-"))
-            if lo > hi:
-                raise ValueError(f"reversed rank range {chunk!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(chunk))
+        parts = chunk.split("-")
+        if len(parts) > 2 or not all(_is_decimal(part.strip()) for part in parts):
+            raise ValueError(f"malformed rank set {text!r}")
+        lo, hi = int(parts[0]), int(parts[-1])
+        if lo > hi:
+            raise ValueError(f"reversed rank range {chunk!r}")
+        out.update(range(lo, hi + 1))
     return tuple(sorted(out))
 
 

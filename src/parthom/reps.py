@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, factorial
 from operator import mul, sub
 from typing import NamedTuple
@@ -30,7 +30,7 @@ from .chartable import character
 from .classfunc import ClassFunction
 from .errors import ModuleCheckError, refuse_past
 from .partitions import check_partition, partitions_of, zee
-from .poset import fixed_chain_count, rank_selected_view
+from .poset import fixed_chain_count, rank_selected_view, rank_set
 from .symfunc import (
     SymFunc,
     _p_in_h_sum,
@@ -67,10 +67,7 @@ def class_values(n: int, ranks, homology: bool = False,
     and with alphas from the recurrence respectively.
     """
     refuse_past("degree", n)
-    ranks = tuple(sorted(set(int(r) for r in ranks)))
-    for r in ranks:
-        if not 1 <= r <= n - 2:
-            raise ValueError(f"rank {r} outside [1, {n - 2}] for ground size {n}")
+    ranks = rank_set(n, ranks)
     if method == "recurrence":
         return _recurrence(n, ranks, homology)
     if method == "chains":
@@ -234,19 +231,22 @@ def multiplicities(n: int, ranks) -> Multiplicities:
 # ---------------------------------------------------------------------------
 # integer sequences
 
-@lru_cache(maxsize=None)
 def euler_number(n: int) -> int:
     """Zigzag number: alternating permutation count, tan + sec coefficients,
-    computed by the boustrophedon (Entringer) recurrence."""
+    the last entry of row n of the boustrophedon (Entringer) triangle.  The
+    process keeps one triangle, extended a row at a time as needed, so
+    E_0, ..., E_N cost O(N^2) additions in all."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [0]
-        for k in range(1, m + 1):
-            row.append(row[k - 1] + prev[m - k])
-    return row[-1]
+    while len(_EULER) <= n:
+        # entry k of row m is entry k - 1 plus entry m - k of row m - 1
+        _EULER_ROW[:] = list(accumulate(reversed(_EULER_ROW), initial=0))
+        _EULER.append(_EULER_ROW[-1])
+    return _EULER[n]
+
+
+#: E_0, ..., E_m so far, and row m of the triangle
+_EULER, _EULER_ROW = [1], [1]
 
 
 @lru_cache(maxsize=None)

@@ -422,14 +422,6 @@ def monomial(spec, coeff=1) -> SymFunc:
 P, H, E, S, M = powersum, homogeneous, elementary, schur, monomial
 
 
-def zero(basis: str = "p") -> SymFunc:
-    return SymFunc(basis, {})
-
-
-def one(basis: str = "p") -> SymFunc:
-    return SymFunc(basis, {(): Fraction(1)})
-
-
 # ---------------------------------------------------------------------------
 # plethysm
 

@@ -6,7 +6,7 @@ so all homology is reduced.  Simplex vertices are ordered by poset rank,
 which fixes orientations once and for all.  The complex keeps only the
 face-row tuple of each simplex: entry i is the index of the face without
 vertex i, with the implicit sign (-1)^i, and that is all the d^2 = 0 check
-and the homology read; :func:`boundary_matrix` builds a matrix on demand.
+and the homology read; no boundary matrix is built.
 No chain is kept as a tuple of elements: the chains of each dimension are
 in lexicographic order, so a face row is computed from the face row of the
 chain it extends, by offsets into the level below.  The d^2 = 0 check
@@ -50,7 +50,7 @@ from .errors import BOUNDS, ConcentrationError, FeasibilityError
 from .partitions import partitions_of
 from .poset import PosetView, chain_sums
 from .setparts import canonical_permutation
-from .snf import SparseIntMatrix, reduce_columns
+from .snf import reduce_columns
 
 
 class ChainComplexZ:
@@ -161,17 +161,6 @@ def _face_rows(view: PosetView) -> list[list[tuple[int, ...]]]:
     return faces
 
 
-def boundary_matrix(cc: ChainComplexZ, d: int) -> SparseIntMatrix:
-    """bd_d as a matrix, built on demand from the face-row tuples; rows
-    index (d-1)-simplices, with the single augmentation row for d = 0."""
-    nrows = len(cc.faces[d - 1]) if d else 1
-    return SparseIntMatrix.from_columns(nrows, map(_column, cc.faces[d]))
-
-
-def _column(face: tuple[int, ...]) -> dict[int, int]:
-    return {row: -1 if i % 2 else 1 for i, row in enumerate(face)}
-
-
 class HomologyResult:
     """Reduced integer homology: Betti numbers and invariant-factor torsion."""
 
@@ -186,9 +175,6 @@ class HomologyResult:
         out = {d for d, b in self.betti.items() if b}
         out.update(self.torsion)
         return sorted(out)
-
-    def reduced_euler(self) -> int:
-        return sum(b if d % 2 == 0 else -b for d, b in self.betti.items())
 
     def is_free(self) -> bool:
         return not self.torsion

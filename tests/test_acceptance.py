@@ -15,10 +15,7 @@ from parthom.checks import (
     stability_report,
     subposet_homology_report,
 )
-from parthom.poset import (
-    max_block_size_view,
-    rank_selected_view,
-)
+from parthom.poset import parse_view, rank_selected_view
 from parthom.reps import (
     chain_characteristic,
     ek_number,
@@ -180,7 +177,7 @@ def test_10_subposet_homology():
     assert rep["passed"], rep["assertions"]
     rep = subposet_homology_report("ne", 5, 3)
     assert rep["passed"], rep["assertions"]
-    hom = view_homology(max_block_size_view(7, 2))
+    hom = view_homology(parse_view(7, "le:k=2"))
     assert hom.torsion == {1: [3]}
     print("ACCEPTANCE 10 PASS: Whitehouse modules for the named subposets; "
           "3-torsion in the 2-bounded view on 7 points")

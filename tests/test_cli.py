@@ -82,23 +82,28 @@ def test_homology_json(capsys):
 
 
 def test_euler_simsun_bi_tables(capsys):
-    code, out = run(capsys, "euler", "--max-n", "6", "--format", "tsv", "--no-cache")
+    code, out = run(capsys, "table", "--family", "euler", "--max-n", "6",
+                    "--format", "tsv", "--no-cache")
     assert code == 0
     assert out.strip().split("\n")[-1] == "6\t61"
-    code, out = run(capsys, "simsun", "--max-n", "4", "--format", "tsv", "--no-cache")
+    code, out = run(capsys, "table", "--family", "simsun", "--max-n", "4",
+                    "--format", "tsv", "--no-cache")
     assert code == 0
     assert "a_i(n)" in out
-    code, out = run(capsys, "bi", "--max-n", "4", "--format", "tsv", "--no-cache")
+    code, out = run(capsys, "table", "--family", "bi", "--max-n", "4",
+                    "--format", "tsv", "--no-cache")
     assert code == 0
     assert out.strip().split("\n")[-1].startswith("4\t4")
 
 
-def test_sequence_commands_match_table(capsys):
+def test_sequence_commands_are_gone(capsys):
+    # euler, simsun and bi repeated table --family NAME --max-n and are removed
     for family in ("euler", "simsun", "bi"):
-        _, out1 = run(capsys, family, "--max-n", "8", "--format", "tsv")
-        _, out2 = run(capsys, "table", "--family", family, "--max-n", "8",
-                      "--format", "tsv", "--no-cache")
-        assert out1 == out2, family
+        with pytest.raises(SystemExit) as exc:
+            main([family, "--max-n", "8", "--format", "tsv", "--no-cache"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", family
+        assert "invalid choice: " + repr(family) in captured.err, family
 
 
 def test_sf_families(capsys):
@@ -230,6 +235,29 @@ def test_invalid_input_exit_2(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_malformed_rank_sets_and_view_parameters_exit_2(capsys):
+    # each rank is ASCII digits: int() would also read 1_0 as 10 and an
+    # Arabic-Indic two as 2, and fail on the rest with its own text
+    commands = [
+        (["beta", "--n", "6", "--ranks", ranks], f"malformed rank set {ranks!r}")
+        for ranks in ("1-2-3", "1-", "1,,2", "1_0", "٢", "+1")
+    ]
+    commands += [
+        (["homology", "--n", "6", "--poset", "ranks:1-"], "malformed rank set '1-'"),
+        (["report", "--family", "stability", "--ranks", "1_0", "--k", "1", "--max-n", "5"],
+         "malformed rank set '1_0'"),
+    ]
+    commands += [
+        (["homology", "--n", "6", "--poset", spec], f"malformed view parameter in {spec!r}")
+        for spec in ("qnk:k=", "le:k=+2", "le:k=1_0", "ne:k=٣", "pnk:k=--3")
+    ]
+    for argv, message in commands:
+        code = main([*argv, "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"error: {message}\n", argv
+
+
 def test_alpha_offers_only_its_own_methods(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["alpha", "--n", "5", "--ranks", "1,2", "--method", "inclusion_exclusion"])
@@ -302,7 +330,6 @@ def test_stability_report_rank_below_1_exit_2(capsys):
 
 def test_tables_with_no_row_exit_2(capsys):
     commands = [("table", "--family", family) for family in ("euler", "simsun", "bi", "ek")]
-    commands += [(name,) for name in ("euler", "simsun", "bi")]
     for command in commands:
         family = command[-1]
         refused = []
@@ -454,7 +481,7 @@ def test_stability_tsv_handles_missing_columns(capsys):
 
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.tsv"
-    code, out = run(capsys, "euler", "--max-n", "4", "--format", "tsv",
-                    "--out", str(target))
+    code, out = run(capsys, "table", "--family", "euler", "--max-n", "4", "--format", "tsv",
+                    "--no-cache", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().strip().split("\n")[-1] == "4\t5"

@@ -5,15 +5,30 @@ from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from parthom.poset import max_block_size_view, parse_view, rank_selected_view
+from parthom.poset import parse_view, rank_selected_view
 from parthom.snf import SparseIntMatrix, invariant_factors, reduce_columns
 from parthom.topology import (
     HomologyResult,
-    boundary_matrix,
     homology,
     mobius_number,
     order_complex,
 )
+
+
+def boundary_matrix(cc, d: int) -> SparseIntMatrix:
+    """Oracle: bd_d as a matrix, built from the face-row tuples; rows index
+    (d-1)-simplices, with the single augmentation row for d = 0."""
+    nrows = len(cc.faces[d - 1]) if d else 1
+    return SparseIntMatrix.from_columns(nrows, map(_column, cc.faces[d]))
+
+
+def _column(face: tuple[int, ...]) -> dict[int, int]:
+    return {row: -1 if i % 2 else 1 for i, row in enumerate(face)}
+
+
+def reduced_euler(hom: HomologyResult) -> int:
+    """Oracle: the alternating sum of the Betti numbers."""
+    return sum(b if d % 2 == 0 else -b for d, b in hom.betti.items())
 
 
 def full_matrix_homology(cc) -> HomologyResult:
@@ -54,13 +69,13 @@ def test_every_family_matches_the_full_matrix_oracle():
             hom = homology(cc)
             oracle = full_matrix_homology(cc)
             assert hom.betti == oracle.betti and hom.torsion == oracle.torsion, (n, spec)
-            assert hom.reduced_euler() == mobius_number(view), (n, spec)
+            assert reduced_euler(hom) == mobius_number(view), (n, spec)
             checked += 1
     assert checked == 79
 
 
 def test_matching_complex_of_7_torsion_pinned():
-    cc = order_complex(max_block_size_view(7, 2))
+    cc = order_complex(parse_view(7, "le:k=2"))
     hom = homology(cc)
     assert hom.to_json_dict()["torsion"] == {"1": [3]}
     assert hom == full_matrix_homology(cc)

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -7,21 +8,29 @@ from parthom.errors import FeasibilityError
 from parthom.partitions import multiplicities as part_mults
 from parthom.poset import (
     chain_sums,
-    even_block_top_view,
-    even_block_view,
     fixed_chain_count,
-    full_view,
-    max_block_size_view,
-    modular_deleted_up_to,
-    modular_deleted_view,
-    no_block_size_view,
     parse_rank_set,
     parse_view,
     rank_selected_view,
-    stirling2,
 )
 from parthom.setparts import SetPartition, act, canonical_permutation
 from test_chain_sums import oracle_maximal_chains, set_partitions
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    """Oracle: number of set partitions of an n-set with k blocks."""
+    if n < 0 or k < 0 or k > n:
+        return 0 if n >= 0 and 0 <= k else _stirling_domain_error(n, k)
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def _stirling_domain_error(n, k):
+    raise ValueError(f"stirling2 needs 0 <= k <= n, got n={n}, k={k}")
 
 
 def stirling_oracle(n, k):
@@ -139,13 +148,13 @@ def test_canonical_permutation():
 # views
 
 def test_full_view_rank_sizes():
-    assert Counter(x.rank for x in full_view(4).elements()) == {1: 6, 2: 7}
-    assert Counter(x.rank for x in full_view(5).elements()) == {1: 10, 2: 25, 3: 15}
+    assert Counter(x.rank for x in parse_view(4, "full").elements()) == {1: 6, 2: 7}
+    assert Counter(x.rank for x in parse_view(5, "full").elements()) == {1: 10, 2: 25, 3: 15}
 
 
 def test_rank_selected_sizes_match_stirling():
     for n in range(3, 9):
-        v = full_view(n)
+        v = parse_view(n, "full")
         sizes = Counter(x.rank for x in v.elements())
         for r in v.ranks:
             assert sizes[r] == stirling2(n, n - r)
@@ -162,13 +171,13 @@ def test_invalid_rank_set():
 
 
 def test_modular_deletion_example():
-    sizes = Counter(x.rank for x in modular_deleted_view(4, 3).elements())
+    sizes = Counter(x.rank for x in parse_view(4, "qnk:k=3").elements())
     assert sizes[2] == 3
     assert sizes[1] == 6
 
 
 def test_modular_deletion_up_to_removes_atoms():
-    p = modular_deleted_up_to(5, 3)
+    p = parse_view(5, "pnk:k=3")
     assert 1 not in p.ranks
     # rank 2 of the lattice on 5 points has types (3,1,1) and (2,2,1);
     # the (3,1,1) ones are modular and get deleted
@@ -176,27 +185,27 @@ def test_modular_deletion_up_to_removes_atoms():
 
 
 def test_block_size_views():
-    le = max_block_size_view(5, 2)
+    le = parse_view(5, "le:k=2")
     assert all(max(len(b) for b in x.blocks) <= 2 for x in le.elements())
-    ne = no_block_size_view(5, 3)
+    ne = parse_view(5, "ne:k=3")
     assert all(all(len(b) != 3 for b in x.blocks) for x in ne.elements())
 
 
 def test_q_top_equals_block_bound_view():
     for n in range(4, 8):
-        q = modular_deleted_view(n, n - 1)
-        le = max_block_size_view(n, n - 2)
+        q = parse_view(n, f"qnk:k={n - 1}")
+        le = parse_view(n, f"le:k={n - 2}")
         assert set(q.elements()) == set(le.elements())
 
 
 def test_even_block_views():
-    v = even_block_view(6)
+    v = parse_view(6, "even")
     assert v.ranks == (2, 4)
     assert all(len(x.blocks) % 2 == 0 for x in v.elements())
-    top = even_block_top_view(6, 1)
+    top = parse_view(6, "even-top:k=1")
     assert top.ranks == (4,)
     with pytest.raises(ValueError):
-        even_block_view(5)
+        parse_view(5, "even")
 
 
 def test_parse_view_round_trip():
@@ -209,6 +218,32 @@ def test_parse_view_round_trip():
         parse_view(6, "bogus")
 
 
+def test_parse_view_refusals():
+    cases = [
+        (5, "bogus", ValueError, "unknown view spec 'bogus'"),
+        (5, "qnk:j=2", ValueError, "malformed view parameter in 'qnk:j=2'"),
+        *[(6, name, ValueError, f"view {name!r} needs k=")
+          for name in ("qnk", "pnk", "le", "ne", "even-top")],
+        *[(5, f"{name}:k={k}", ValueError, f"need 2 <= k <= n-1, got k={k}, n=5")
+          for name in ("qnk", "pnk", "le", "ne") for k in (-1, 1, 5)],
+        (1, "le:k=2", ValueError, "need 2 <= k <= n-1, got k=2, n=1"),
+        *[(n, "even", ValueError, f"even-block view needs an even ground size >= 4, got {n}")
+          for n in (1, 2, 5, 7)],
+        (5, "even-top:k=1", ValueError, "even-block view needs an even ground size >= 4, got 5"),
+        *[(8, f"even-top:k={k}", ValueError, f"need 1 <= k <= n/2-1, got k={k}")
+          for k in (0, 4)],
+        *[(n, spec, FeasibilityError, f"ground set size {n} outside supported range 2..10")
+          for n in (-1, 0, 1) for spec in ("full", "ranks:")],
+        (5, "ranks:4", ValueError, "rank 4 outside [1, 3] for ground size 5"),
+        (5, "ranks:0,1", ValueError, "rank 0 outside [1, 3] for ground size 5"),
+        (2, "ranks:1", ValueError, "rank 1 outside [1, 0] for ground size 2"),
+    ]
+    for n, spec, error, message in cases:
+        with pytest.raises(error) as exc:
+            parse_view(n, spec)
+        assert type(exc.value) is error and str(exc.value) == message, (n, spec)
+
+
 def test_parse_rank_set():
     assert parse_rank_set("1-3,5") == (1, 2, 3, 5)
     assert parse_rank_set("-") == ()
@@ -219,9 +254,9 @@ def test_parse_rank_set():
 
 def test_ground_size_bounds():
     with pytest.raises(FeasibilityError):
-        full_view(11)
+        parse_view(11, "full")
     with pytest.raises(FeasibilityError):
-        full_view(1)
+        parse_view(1, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +264,7 @@ def test_ground_size_bounds():
 
 def test_maximal_chain_counts_full():
     for n in range(3, 8):
-        v = full_view(n)
+        v = parse_view(n, "full")
         expected = factorial(n) * factorial(n - 1) // 2 ** (n - 1)
         assert chain_sums(v) == expected
         if n <= 6:
@@ -286,17 +321,17 @@ def test_fixed_element_without_fixed_cover_ends_no_chain():
     elems = v.elements()
     assert ({r: [elems[j] for j in fixed] for r, fixed in v.fixed_by(g).items()}
             == {1: [atom], 2: [SetPartition(5, [[1, 2, 3], [4], [5]])]})
-    for view in (v, full_view(5), modular_deleted_view(5, 3), max_block_size_view(5, 2)):
+    for view in (v, parse_view(5, "full"), parse_view(5, "qnk:k=3"), parse_view(5, "le:k=2")):
         ups = view.covers()[atom]
         assert ups and all(act(g, y) != y for y in ups), view.describe()
-    for view in (v, full_view(5)):
+    for view in (v, parse_view(5, "full")):
         assert fixed_chain_count(view, (3, 2)) == 0, view.describe()
 
 
 def test_fixed_by_generates_instead_of_filtering(monkeypatch):
     import parthom.setparts as setparts
 
-    views = (full_view(6), modular_deleted_view(6, 3), rank_selected_view(6, (2, 4)))
+    views = (parse_view(6, "full"), parse_view(6, "qnk:k=3"), rank_selected_view(6, (2, 4)))
     cases = [(v, mu) for v in views for mu in ((1,) * 6, (2, 2, 1, 1), (3, 2, 1), (6,))]
     expected = []
     for v, mu in cases:
@@ -340,7 +375,7 @@ def test_fixed_chain_count_brute_force_cross_check():
 
 
 def test_maximal_chain_counts_refuse_views_that_are_not_rank_selected():
-    q = modular_deleted_view(5, 3)
+    q = parse_view(5, "qnk:k=3")
     with pytest.raises(ValueError, match=q.describe()):
         fixed_chain_count(q, (1,) * 5)
     le = parse_view(6, "le:k=2")
@@ -359,14 +394,14 @@ def test_views_are_stable_under_the_action():
     from parthom.partitions import partitions_of
 
     views = [
-        full_view(5),
+        parse_view(5, "full"),
         rank_selected_view(5, [1, 3]),
-        modular_deleted_view(5, 3),
-        modular_deleted_up_to(5, 3),
-        max_block_size_view(5, 3),
-        no_block_size_view(5, 3),
-        even_block_view(6),
-        even_block_top_view(6, 1),
+        parse_view(5, "qnk:k=3"),
+        parse_view(5, "pnk:k=3"),
+        parse_view(5, "le:k=3"),
+        parse_view(5, "ne:k=3"),
+        parse_view(6, "even"),
+        parse_view(6, "even-top:k=1"),
     ]
     for view in views:
         elems = set(view.elements())

@@ -7,7 +7,6 @@ import pytest
 from parthom.chartable import character
 from parthom.classfunc import ClassFunction
 from parthom.errors import FeasibilityError
-from parthom.poset import stirling2
 from parthom.reps import (
     chain_characteristic,
     ek_number,
@@ -21,6 +20,7 @@ from parthom.reps import (
     whitehouse_module,
 )
 from parthom.symfunc import E, H, P, S, SymFunc, positivity
+from test_poset import stirling2
 
 
 def zigzag_oracle(n):
@@ -321,12 +321,12 @@ def test_alpha_full_supported_on_involutions_up_to_7():
 
 
 def test_even_block_dimension_is_subposet_betti():
-    from parthom.poset import even_block_view
+    from parthom.poset import parse_view
     from parthom.topology import view_homology
 
     for n in (2, 3):
         r = even_block_characteristic(n, validate=False)
-        hom = view_homology(even_block_view(2 * n))
+        hom = view_homology(parse_view(2 * n, "even"))
         assert hom.nonzero_degrees() == [n - 2]
         assert hom.betti[n - 2] == r.dimension()
 

@@ -14,7 +14,6 @@ from parthom.symfunc import (
     S,
     SymFunc,
     hook_schur,
-    one,
     plethysm,
     plethysm_with_h_sum,
     positivity,
@@ -23,6 +22,11 @@ from parthom.symfunc import (
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def one(basis: str = "p") -> SymFunc:
+    """The constant symmetric function 1."""
+    return SymFunc(basis, {(): Fraction(1)})
+
 
 def newton_h_in_p(n):
     """h_n in powersums via n h_n = sum p_i h_{n-i}, independent of the

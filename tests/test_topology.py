@@ -7,18 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from parthom.errors import ConcentrationError, FeasibilityError
 from parthom.partitions import partitions_of
-from parthom.poset import (
-    PosetView,
-    full_view,
-    max_block_size_view,
-    modular_deleted_view,
-    parse_view,
-    rank_selected_view,
-)
+from parthom.poset import PosetView, parse_view, rank_selected_view
 from parthom.reps import homology_characteristic, lie_character
 from parthom.snf import SparseIntMatrix, invariant_factors
 from parthom.topology import (
-    boundary_matrix,
     concentrated_character,
     homology,
     lefschetz_class_function,
@@ -26,6 +18,7 @@ from parthom.topology import (
     order_complex,
     view_homology,
 )
+from test_homology_reduction import boundary_matrix, reduced_euler
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +100,7 @@ def test_snf_matches_determinantal_divisors(rows):
 # order complexes
 
 def test_pi3_is_three_points():
-    cc = order_complex(full_view(3))
+    cc = order_complex(parse_view(3, "full"))
     assert cc.f_vector() == {-1: 1, 0: 3}
     hom = homology(cc)
     assert hom.betti == {0: 2}
@@ -115,7 +108,7 @@ def test_pi3_is_three_points():
 
 
 def test_pi4_complex_and_homology():
-    cc = order_complex(full_view(4))
+    cc = order_complex(parse_view(4, "full"))
     # 13 proper elements; edges are the comparable cross-rank pairs, which
     # are exactly the 18 maximal chains
     assert cc.f_vector() == {-1: 1, 0: 13, 1: 18}
@@ -128,7 +121,7 @@ def test_empty_view_complex():
     assert cc.f_vector() == {-1: 1}
     hom = homology(cc)
     assert hom.betti == {-1: 1}
-    assert hom.reduced_euler() == -1
+    assert reduced_euler(hom) == -1
 
 
 def oracle_faces(view):
@@ -163,13 +156,13 @@ def test_face_rows_match_the_tuple_keyed_oracle():
 
 
 def test_boundary_squares_to_zero_is_checked():
-    for view in (full_view(5), modular_deleted_view(5, 3), max_block_size_view(6, 3)):
+    for view in (parse_view(5, "full"), parse_view(5, "qnk:k=3"), parse_view(6, "le:k=3")):
         order_complex(view).check_boundary_squares_to_zero()
     # one wrong face row in any boundary breaks the composition with a
     # neighbour: the row of another face, two rows swapped, which flips both
     # their signs, or one face in every position, whose rows cancel as sets
     # but not with their multiplicities
-    cc = order_complex(full_view(5))
+    cc = order_complex(parse_view(5, "full"))
     for d in range(1, len(cc.faces)):
         level = cc.faces[d]
         face = level[0]
@@ -184,7 +177,7 @@ def test_boundary_squares_to_zero_is_checked():
 
 def test_augmentation_rows_are_checked():
     # a vertex whose row is not the augmentation row breaks bd_0 bd_1 = 0
-    cc = order_complex(full_view(4))
+    cc = order_complex(parse_view(4, "full"))
     cc.faces[0][3] = (1,)
     with pytest.raises(AssertionError, match="vertex 3"):
         cc.check_boundary_squares_to_zero()
@@ -193,7 +186,7 @@ def test_augmentation_rows_are_checked():
 def test_order_complex_refused_before_every_successor_list(monkeypatch):
     import parthom.errors as errors
 
-    view = full_view(6)
+    view = parse_view(6, "full")
     calls = []
     real = PosetView.above
 
@@ -214,7 +207,7 @@ def test_order_complex_refused_before_every_successor_list(monkeypatch):
 
 def test_top_betti_is_factorial():
     for n in range(3, 6):
-        hom = view_homology(full_view(n))
+        hom = view_homology(parse_view(n, "full"))
         top = n - 3
         for d, b in hom.betti.items():
             assert b == (factorial(n - 1) if d == top else 0)
@@ -222,11 +215,11 @@ def test_top_betti_is_factorial():
 
 
 def test_matching_complex_of_7_has_three_torsion():
-    hom = view_homology(max_block_size_view(7, 2))
+    hom = view_homology(parse_view(7, "le:k=2"))
     assert hom.torsion == {1: [3]}
     assert hom.betti[1] == 0
     assert hom.betti[2] == 20
-    assert hom.reduced_euler() == mobius_number(max_block_size_view(7, 2))
+    assert reduced_euler(hom) == mobius_number(parse_view(7, "le:k=2"))
 
 
 def test_rank_selected_concentration_small():
@@ -246,7 +239,7 @@ def test_rank_selected_concentration_small():
 
 def test_mobius_of_full_lattice():
     for n in range(3, 7):
-        assert mobius_number(full_view(n)) == (-1) ** (n - 1) * factorial(n - 1)
+        assert mobius_number(parse_view(n, "full")) == (-1) ** (n - 1) * factorial(n - 1)
 
 
 def test_mobius_of_empty_view():
@@ -260,18 +253,18 @@ def test_mobius_equals_reduced_euler():
         for size in range(n - 1):
             for S in itertools.combinations(range(1, n - 1), size):
                 v = rank_selected_view(n, S)
-                assert mobius_number(v) == view_homology(v).reduced_euler(), (n, S)
-    for v in (modular_deleted_view(5, 3), max_block_size_view(6, 3)):
-        assert mobius_number(v) == view_homology(v).reduced_euler()
+                assert mobius_number(v) == reduced_euler(view_homology(v)), (n, S)
+    for v in (parse_view(5, "qnk:k=3"), parse_view(6, "le:k=3")):
+        assert mobius_number(v) == reduced_euler(view_homology(v))
 
 
 # ---------------------------------------------------------------------------
 # Lefschetz class functions
 
 def test_lefschetz_identity_entry_is_euler():
-    for view in (full_view(4), full_view(5), modular_deleted_view(5, 3)):
+    for view in (parse_view(4, "full"), parse_view(5, "full"), parse_view(5, "qnk:k=3")):
         lef = lefschetz_class_function(view)
-        assert lef.values[(1,) * view.n] == view_homology(view).reduced_euler()
+        assert lef.values[(1,) * view.n] == reduced_euler(view_homology(view))
 
 
 def test_lefschetz_antichain():
@@ -287,12 +280,12 @@ def test_lefschetz_antichain():
 def test_lefschetz_of_full_lattice_is_signed_top_homology():
     # homology sits in odd degree n - 3 = 1, so the characteristic of -Lef
     # is the top homology characteristic
-    lef = lefschetz_class_function(full_view(4))
+    lef = lefschetz_class_function(parse_view(4, "full"))
     assert (lef * Fraction(-1)).characteristic() == lie_character(4)
 
 
 def test_concentrated_character_full_lattice():
-    d, chi = concentrated_character(full_view(5))
+    d, chi = concentrated_character(parse_view(5, "full"))
     assert d == 2
     assert chi.dimension() == 24
     assert chi.characteristic() == lie_character(5)
@@ -308,7 +301,7 @@ def test_concentrated_character_rejects_spread():
     # two selected ranks of the 5-chain... use a view whose homology lives in
     # two degrees: the no-size-3 view at n = 2k + 1 = 7 would, but stay small:
     # the matching complex of 7 has torsion, which must also be rejected
-    view = max_block_size_view(7, 2)
+    view = parse_view(7, "le:k=2")
     with pytest.raises(ConcentrationError):
         concentrated_character(view)
 
@@ -321,7 +314,7 @@ def test_homology_agrees_with_recurrence_dimension():
 
 
 def test_homology_result_json():
-    hom = view_homology(modular_deleted_view(5, 3))
+    hom = view_homology(parse_view(5, "qnk:k=3"))
     data = hom.to_json_dict()
     assert data["view"] == "qnk:k=3,n=5"
     assert data["betti"]["1"] == 16
@@ -354,7 +347,7 @@ def rational_rank(mat):
 
 
 def test_betti_numbers_agree_with_rational_ranks():
-    for view in (full_view(4), full_view(5), modular_deleted_view(5, 3),
+    for view in (parse_view(4, "full"), parse_view(5, "full"), parse_view(5, "qnk:k=3"),
                   rank_selected_view(6, [2, 4])):
         cc = order_complex(view)
         hom = homology(cc)
@@ -378,5 +371,5 @@ def test_degree_seven_rank_selections_concentrate():
 
 
 def test_mobius_equals_euler_on_full_degree_6():
-    v = full_view(6)
-    assert mobius_number(v) == -120 == view_homology(v).reduced_euler()
+    v = parse_view(6, "full")
+    assert mobius_number(v) == -120 == reduced_euler(view_homology(v))
