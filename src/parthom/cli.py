@@ -22,7 +22,7 @@ import sys
 
 from . import cache
 from .errors import ConcentrationError, FeasibilityError, ModuleCheckError, refuse_past
-from .poset import BLOCK_SIZE_FAMILIES, parse_rank_set, parse_view
+from .poset import BLOCK_SIZE_FAMILIES, is_decimal, parse_rank_set, parse_view
 from .reps import (
     chain_characteristic,
     class_values,
@@ -43,12 +43,19 @@ from .checks import CHECK_SUITES, conjecture_checks, stability_report, subposet_
 from .topology import view_homology
 
 
+def _int(text: str) -> int:
+    """Type of every integer option, read by the grammar of ``k=`` and ranks."""
+    if not is_decimal(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--cache-dir", default=None, help="cache directory (default: $PARTHOM_CACHE_DIR or ~/.cache/parthom)")
     sub.add_argument("--no-cache", action="store_true", help="bypass the on-disk cache")
-    sub.add_argument("--jobs", type=int, default=1, help="accepted and ignored: every command runs serially")
+    sub.add_argument("--jobs", type=_int, default=1, help="accepted and ignored: every command runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sf", help="named symmetric functions")
     p.add_argument("--family", required=True, choices=("lie", "whitehouse", "reven", "hook"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int)
     p.add_argument("--basis", default="h", choices=("p", "h", "e", "s", "m"))
     _add_common(p)
 
@@ -66,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, methods in (("alpha", ("recurrence", "chains")),
                           ("beta", ("recurrence", "chains", "inclusion_exclusion"))):
         p = sub.add_parser(name, help=f"{name} module characteristic of a rank selection")
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_int, required=True)
         p.add_argument("--ranks", required=True, help="comma list with ranges, '-' for empty")
         p.add_argument("--method", default="recurrence", choices=methods)
         p.add_argument("--basis", default="h", choices=("p", "h", "e", "s", "m"))
@@ -76,28 +83,28 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
 
     p = sub.add_parser("homology", help="integer homology of a subposet")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--poset", required=True,
                    help="view spec: full | ranks:1,3 | qnk:k=3 | pnk:k=3 | le:k=2 | ne:k=3 | even | even-top:k=2")
     _add_common(p)
 
     p = sub.add_parser("table", help="multiplicity and number tables")
     p.add_argument("--family", required=True, choices=("bS", "simsun", "bi", "ek", "euler"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int)
+    p.add_argument("--n", type=_int)
+    p.add_argument("--max-n", type=_int)
     _add_common(p)
 
     p = sub.add_parser("check", help="verification suites")
     p.add_argument("--suite", required=True, choices=CHECK_SUITES)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_int, required=True)
     _add_common(p)
 
     p = sub.add_parser("report", help="subposet homology or stability report")
     p.add_argument("--family", required=True, choices=(*BLOCK_SIZE_FAMILIES, "stability"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_int)
+    p.add_argument("--k", type=_int)
     p.add_argument("--ranks")
-    p.add_argument("--max-n", type=int)
+    p.add_argument("--max-n", type=_int)
     _add_common(p)
 
     return parser
@@ -296,6 +303,8 @@ def _cache_params(args) -> dict:
 
 
 def main(argv=None) -> int:
+    # exact answers print in full and a cached one reads back, however long
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -272,10 +272,10 @@ def parse_view(n: int, spec: str) -> PosetView:
         raise ValueError(f"unknown view spec {spec!r}")
     k = None
     if arg:
-        value = arg[2:].strip()
-        if not arg.startswith("k=") or not _is_decimal(value.removeprefix("-")):
+        # full and even take no parameter
+        if name in ("full", "even") or not arg.startswith("k=") or not is_decimal(arg[2:]):
             raise ValueError(f"malformed view parameter in {spec!r}")
-        k = int(value)
+        k = int(arg[2:])
     if name == "full":
         return PosetView(n, "full", range(1, n - 1))
     if k is None and name != "even":
@@ -296,9 +296,12 @@ def parse_view(n: int, spec: str) -> PosetView:
     return PosetView(n, f"even-top:k={k}", range(n - 2 * k, n - 1, 2))
 
 
-def _is_decimal(text: str) -> bool:
-    # int() would also take a sign, underscores and non-ASCII digits
-    return text.isascii() and text.isdigit()
+def is_decimal(text: str) -> bool:
+    """The grammar of every integer the CLI reads: ASCII digits with an
+    optional leading ``-`` and whitespace around them.  ``int()`` would also
+    take ``+``, underscores and the digits of other scripts."""
+    digits = text.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
 
 
 def parse_rank_set(text: str) -> tuple[int, ...]:
@@ -311,7 +314,7 @@ def parse_rank_set(text: str) -> tuple[int, ...]:
     for chunk in text.split(","):
         chunk = chunk.strip()
         parts = chunk.split("-")
-        if len(parts) > 2 or not all(_is_decimal(part.strip()) for part in parts):
+        if len(parts) > 2 or not all(is_decimal(part) for part in parts):
             raise ValueError(f"malformed rank set {text!r}")
         lo, hi = int(parts[0]), int(parts[-1])
         if lo > hi:

@@ -25,10 +25,10 @@ are reached by exact conversions:
 The tables that are integer-valued are built over ``int``, and a
 ``Fraction`` appears only where a ``SymFunc`` is made from them:
 
-* ``_p_in_h(n)`` and ``_p_product_in(lam)``, p_n and p_lam in the h basis
-  (Newton's identities have integer coefficients); a conversion to h sums
-  them over the common denominator of the p coefficients and divides once
-  per output term;
+* ``_p_in(basis, mu)``, p_mu in the h, s or m basis (Newton's identities,
+  the character table and Hall duality all give integer coefficients); a
+  conversion out of powersums sums them over the common denominator of the
+  p coefficients and divides once per output term;
 * ``_p_in_h_sum(lam, n)``, n! times the degree-n part of
   p_lam[h_1 + h_2 + ...]: its p_nu entry is the count N(nu, lam) of
   :mod:`parthom.reps` times z_lam n!/z_nu, an integer.
@@ -51,7 +51,7 @@ from math import comb, factorial, lcm
 from numbers import Rational
 
 from .chartable import character
-from .errors import refuse_past
+from .errors import ModuleCheckError, refuse_past
 from .partitions import (
     canonical_sort_key,
     check_partition,
@@ -131,58 +131,48 @@ def _p_in_h(n: int) -> tuple:
     return tuple(acc.items())
 
 
-@lru_cache(maxsize=None)
-def _s_in_p(lam: tuple) -> tuple:
-    n = sum(lam)
-    refuse_past("schur_degree", n, _SCHUR_REFUSAL)
-    out = []
-    for mu in partitions_of(n):
-        chi = character(lam, mu)
-        if chi:
-            out.append((mu, Fraction(chi, zee(mu))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _gen_product_in_p(lam: tuple) -> tuple:
-    """h_lam expanded in powersums."""
-    acc: Terms = {(): Fraction(1)}
-    for part in lam:
-        acc = _merge_mul(acc, dict(_h_in_p(part)))
-    return tuple(acc.items())
-
-
-@lru_cache(maxsize=None)
-def _p_product_in(lam: tuple) -> tuple:
-    """Powersum monomial p_lam expanded in the h basis (integer coefficients)."""
+def _product(table, lam: tuple) -> Terms:
+    """The product over the parts of lam of the one-part expansions table(part)."""
     acc: Terms = {(): 1}
     for part in lam:
-        acc = _merge_mul(acc, dict(_p_in_h(part)))
-    return tuple(acc.items())
+        acc = _merge_mul(acc, dict(table(part)))
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _m_in_p(lam: tuple) -> tuple:
-    """m_lam expanded in powersums: the p_mu coefficient is <m_lam, p_mu> / z_mu,
-    which by Hall duality is the h_lam coefficient of p_mu divided by z_mu."""
-    out = []
-    for mu in partitions_of(sum(lam)):
-        c = dict(_p_product_in(mu)).get(lam)
-        if c:
-            out.append((mu, Fraction(c, zee(mu))))
-    return tuple(out)
+def _in_p(basis: str, lam: tuple) -> tuple:
+    """B_lam expanded in powersums, for the basis B = h, s or m."""
+    if basis == "h":
+        return tuple(_product(_h_in_p, lam).items())
+    n = sum(lam)
+    if basis == "s":
+        # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
+        refuse_past("schur_degree", n, _SCHUR_REFUSAL)
+        pairs = ((mu, character(lam, mu)) for mu in partitions_of(n))
+    else:
+        # Hall duality: <m_lam, p_mu> is the h_lam coefficient of p_mu
+        pairs = ((mu, dict(_p_in("h", mu)).get(lam)) for mu in partitions_of(n))
+    return tuple((mu, Fraction(c, zee(mu))) for mu, c in pairs if c)
 
 
 @lru_cache(maxsize=None)
-def _p_in_m(mu: tuple) -> tuple:
-    """p_mu expanded in monomials: the m_lam coefficient is <p_mu, h_lam>, which
-    is z_mu times the p_mu coefficient of h_lam."""
-    out = []
-    for lam in partitions_of(sum(mu)):
-        c = dict(_gen_product_in_p(lam)).get(mu)
-        if c:
-            out.append((lam, c * zee(mu)))
-    return tuple(out)
+def _p_in(basis: str, mu: tuple) -> tuple:
+    """p_mu expanded in the basis B = h, s or m; every coefficient is an int."""
+    if basis == "h":
+        return tuple(_product(_p_in_h, mu).items())
+    n = sum(mu)
+    if basis == "s":
+        # p_mu = sum over lam of chi^lam(mu) s_lam
+        refuse_past("schur_degree", n, _SCHUR_REFUSAL)
+        return tuple((lam, chi) for lam in partitions_of(n) if (chi := character(lam, mu)))
+    # Hall duality: the m_lam coefficient is <p_mu, h_lam>, z_mu times the
+    # p_mu coefficient of h_lam, and must come out an integer
+    z = zee(mu)
+    pairs = [(lam, dict(_in_p("h", lam)).get(mu, 0) * z) for lam in partitions_of(n)]
+    for lam, c in pairs:
+        if c.denominator != 1:
+            raise ModuleCheckError(f"m{lam} coefficient {c} of p{mu} is not an integer")
+    return tuple((lam, c.numerator) for lam, c in pairs if c)
 
 
 def _twist(terms: Terms) -> Terms:
@@ -199,10 +189,9 @@ def _to_p(basis: str, terms: Terms) -> Terms:
         return dict(terms)
     if basis == "e":
         return _twist(_to_p("h", terms))
-    expand = {"h": _gen_product_in_p, "s": _s_in_p, "m": _m_in_p}[basis]
     acc: Terms = {}
     for lam, c in terms.items():
-        _add_into(acc, dict(expand(lam)), c)
+        _add_into(acc, dict(_in_p(basis, lam)), c)
     return acc
 
 
@@ -211,30 +200,15 @@ def _from_p(target: str, pterms: Terms) -> Terms:
         return dict(pterms)
     if target == "e":
         return _from_p("h", _twist(pterms))
-    if target == "s":
-        out: Terms = {}
-        for n in sorted({sum(lam) for lam in pterms}):
-            refuse_past("schur_degree", n, _SCHUR_REFUSAL)
-            comp = {lam: c for lam, c in pterms.items() if sum(lam) == n}
-            for lam in partitions_of(n):
-                val = sum((c * character(lam, mu) for mu, c in comp.items()), Fraction(0))
-                if val:
-                    out[lam] = val
-        return out
-    if target == "h":
-        # the expansion is integral: sum over the common denominator of the
-        # coefficients and divide once per output term
-        den = lcm(*(c.denominator for c in pterms.values()))
-        acc: Terms = {}
-        for lam, c in pterms.items():
-            _add_into(acc, dict(_p_product_in(lam)), c.numerator * (den // c.denominator))
-        return {lam: Fraction(v, den) for lam, v in acc.items()}
-    if target != "m":
+    if target not in ("h", "s", "m"):
         raise ValueError(f"unknown basis {target!r}")
-    acc = {}
-    for lam, c in pterms.items():
-        _add_into(acc, dict(_p_in_m(lam)), c)
-    return acc
+    # the tables are integral: sum over the common denominator of the
+    # coefficients and divide once per output term
+    den = lcm(*(c.denominator for c in pterms.values()))
+    acc: Terms = {}
+    for mu, c in pterms.items():
+        _add_into(acc, dict(_p_in(target, mu)), c.numerator * (den // c.denominator))
+    return {lam: Fraction(v, den) for lam, v in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +379,6 @@ def powersum(spec, coeff=1) -> SymFunc:
 
 def homogeneous(spec, coeff=1) -> SymFunc:
     return _basis_elem("h", spec, coeff)
-
-
-def elementary(spec, coeff=1) -> SymFunc:
-    return _basis_elem("e", spec, coeff)
-
-
-def schur(spec, coeff=1) -> SymFunc:
-    return _basis_elem("s", spec, coeff)
-
-
-def monomial(spec, coeff=1) -> SymFunc:
-    return _basis_elem("m", spec, coeff)
-
-
-P, H, E, S, M = powersum, homogeneous, elementary, schur, monomial
 
 
 # ---------------------------------------------------------------------------

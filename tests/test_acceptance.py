@@ -27,8 +27,9 @@ from parthom.reps import (
     multiplicities,
     simsun,
 )
-from parthom.symfunc import E, H, P, SymFunc, positivity
+from parthom.symfunc import SymFunc, positivity
 from parthom.topology import view_homology
+from test_symfunc import E, H, P
 
 
 def all_rank_sets(n):

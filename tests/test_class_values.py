@@ -1,11 +1,13 @@
 """The integer class-value recurrence and its integer tables against
 independent oracles.
 
-* the integer kernels of ``symfunc`` (``_p_in_h``, ``_p_product_in`` and
+* the integer kernels of ``symfunc`` (``_p_in_h``, ``_p_in`` and
   ``_p_in_h_sum``, which is n! times the degree-n part of
   p_lam[h_1 + h_2 + ...]) against the ``Fraction`` tables they replaced,
   kept here as named oracles, and ``_p_in_h_sum`` against the general
   truncated ``plethysm``;
+* ``_in_p`` and ``_p_in`` against each other: for h, s and m the two
+  tables are inverse matrices;
 * N_{n,m}(nu, lam) against a direct count of the set partitions fixed by
   one permutation of each cycle type;
 * alpha and beta class values against the symmetric-function recurrence,
@@ -27,8 +29,9 @@ from parthom.errors import ModuleCheckError
 from parthom.partitions import check_partition, partitions_of, zee
 from parthom.reps import _fixed_partition_counts, class_values, schur_multiplicity
 from parthom.setparts import act, canonical_permutation
-from parthom.symfunc import H, P, SymFunc, _p_in_h, _p_in_h_sum, _p_product_in, plethysm
+from parthom.symfunc import SymFunc, _in_p, _p_in, _p_in_h, _p_in_h_sum, plethysm
 from test_chain_sums import set_partitions
+from test_symfunc import H, P
 
 #: the integer tables are checked exactly for every lam with |lam| <= n <= KERNEL_N
 KERNEL_N = 9
@@ -109,7 +112,7 @@ def test_p_product_in_matches_the_fraction_oracle():
         assert dict(_p_in_h(n)) == oracle_p_in_h(n), n
     for n in range(KERNEL_N + 1):
         for lam in partitions_of(n):
-            got = dict(_p_product_in(lam))
+            got = dict(_p_in("h", lam))
             assert all(type(v) is int for v in got.values()), lam
             assert got == oracle_p_product_in(lam), lam
 
@@ -120,13 +123,39 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(symfunc, "Fraction", refuse)
     monkeypatch.setattr(reps, "Fraction", refuse)
-    for kernel in (_p_in_h, _p_product_in, _p_in_h_sum, _fixed_partition_counts):
+    for kernel in (_p_in_h, _p_in, _p_in_h_sum, _fixed_partition_counts):
         kernel.cache_clear()
     for n in range(1, KERNEL_N):
         for m in range(1, n + 1):
             _fixed_partition_counts(n, m)
         for lam in partitions_of(n):
-            _p_product_in(lam)
+            _p_in("h", lam)
+            _p_in("s", lam)
+
+
+@pytest.mark.parametrize("basis", ["h", "s", "m"])
+def test_tables_into_and_out_of_powersums_invert_each_other(basis):
+    # sum over mu of [p_mu]B_lam [B_kappa]p_mu = delta(lam, kappa), the first
+    # factor from _in_p and the second from the integer table _p_in
+    for n in range(9):
+        rows = {mu: dict(_p_in(basis, mu)) for mu in partitions_of(n)}
+        assert all(type(v) is int for row in rows.values() for v in row.values()), n
+        for lam in partitions_of(n):
+            product = {}
+            for mu, c in _in_p(basis, lam):
+                for kappa, d in rows[mu].items():
+                    product[kappa] = product.get(kappa, 0) + c * d
+            assert {kappa: v for kappa, v in product.items() if v} == {lam: 1}, lam
+
+
+def test_non_integer_monomial_entry_raises(monkeypatch):
+    def perturbed(basis, lam):
+        # a third more in every p_(2,1) entry: z_(2,1) = 2 no longer clears it
+        return tuple((mu, c * Fraction(4, 3) if mu == (2, 1) else c) for mu, c in _in_p(basis, lam))
+
+    monkeypatch.setattr(symfunc, "_in_p", perturbed)
+    with pytest.raises(ModuleCheckError, match=r"m\(3,\) coefficient 4/3 of p\(2, 1\)"):
+        _p_in.__wrapped__("m", (2, 1))
 
 
 def test_non_integer_n_entry_raises(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from parthom.classfunc import ClassFunction
 from parthom.partitions import partitions_of, zee
-from parthom.symfunc import H, P, S
+from test_symfunc import H, P, S
 
 
 def test_round_trip_through_characteristic():

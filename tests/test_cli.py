@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
+from parthom import cache
 from parthom.cli import main
 from parthom.errors import ConcentrationError, ModuleCheckError
+from parthom.reps import euler_number
 
 
 def run(capsys, *argv):
@@ -249,13 +252,41 @@ def test_malformed_rank_sets_and_view_parameters_exit_2(capsys):
     ]
     commands += [
         (["homology", "--n", "6", "--poset", spec], f"malformed view parameter in {spec!r}")
-        for spec in ("qnk:k=", "le:k=+2", "le:k=1_0", "ne:k=٣", "pnk:k=--3")
+        for spec in ("qnk:k=", "le:k=+2", "le:k=1_0", "ne:k=٣", "pnk:k=--3", "full:k=2",
+                     "even:k=2")
     ]
     for argv, message in commands:
         code = main([*argv, "--no-cache"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", argv
         assert captured.err == f"error: {message}\n", argv
+
+
+def test_integer_options_read_ascii_digits_only(capsys):
+    # the grammar of k= and of ranks; int() would read an Arabic-Indic five
+    # as 5, 1_0 as 10 and +3 as 3
+    for argv, option, text in [
+        (["homology", "--n", "٥", "--poset", "full"], "--n", "٥"),
+        (["report", "--family", "le", "--n", "1_0", "--k", "2"], "--n", "1_0"),
+        (["report", "--family", "le", "--n", "7", "--k", "+2"], "--k", "+2"),
+        (["table", "--family", "euler", "--max-n", "+3"], "--max-n", "+3"),
+        (["check", "--suite", "even", "--max-n", "4 4"], "--max-n", "4 4"),
+        (["sf", "--family", "lie", "--n", "4", "--jobs", "2.0"], "--jobs", "2.0"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-cache"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "", argv
+        assert f"argument {option}: invalid int value: {text!r}\n" in captured.err, argv
+    # a leading minus keeps its range message, and whitespace around is read
+    for argv, message in [
+        (["report", "--family", "le", "--n", "7", "--k", "-1"], "need 2 <= k <= n-1, got k=-1, n=7"),
+        (["table", "--family", "bS", "--n", "-3"],
+         "table --family bS needs a ground size --n >= 2, got -3"),
+    ]:
+        assert main([*argv, "--no-cache"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    assert main(["sf", "--family", "lie", "--n", " 4 ", "--jobs", "2", "--no-cache"]) == 0
 
 
 def test_alpha_offers_only_its_own_methods(capsys):
@@ -376,6 +407,29 @@ def test_cache_round_trip(tmp_path, capsys):
             assert out1 == out2, (command, fmt)
             cached = list(cache_dir.rglob("*.json"))
             assert len(cached) == 1
+
+
+def test_exact_answers_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    # E_1660 is the first zigzag number with 4300 digits, the interpreter's
+    # default limit for converting an int to a string and back
+    limit = sys.get_int_max_str_digits()
+    argv = ["table", "--family", "euler", "--max-n", "1700", "--format", "json"]
+    try:
+        cold = run(capsys, *argv, "--no-cache")
+        stored = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        hit = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert cold == stored == hit and cold[0] == 0
+        assert json.loads(cold[1])["rows"][-1] == {"n": 1700, "E_n": euler_number(1700)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(list(tmp_path.rglob("*.json"))) == 1
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_failed_store_leaves_no_temporary_file(tmp_path):
+    with pytest.raises(TypeError):
+        cache.store(str(tmp_path), "sf", {}, {"value": object()})
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_cache_entry_of_other_code_not_served(tmp_path, capsys, monkeypatch):

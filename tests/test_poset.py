@@ -222,6 +222,8 @@ def test_parse_view_refusals():
     cases = [
         (5, "bogus", ValueError, "unknown view spec 'bogus'"),
         (5, "qnk:j=2", ValueError, "malformed view parameter in 'qnk:j=2'"),
+        *[(6, spec, ValueError, f"malformed view parameter in {spec!r}")
+          for spec in ("full:k=2", "even:k=2", "full:x", "even: k=2")],
         *[(6, name, ValueError, f"view {name!r} needs k=")
           for name in ("qnk", "pnk", "le", "ne", "even-top")],
         *[(5, f"{name}:k={k}", ValueError, f"need 2 <= k <= n-1, got k={k}, n=5")

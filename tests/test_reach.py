@@ -7,7 +7,8 @@ Reach is read off the source with ``ast``, by name: a top-level function or
 class is reached when a reached body names it (as a variable or as an
 attribute), a method when its class is reached and a reached body names it,
 and every dunder of a reached class is reached.  Module-level statements run
-on import, so they count as reached bodies.
+on import, so they count as reached bodies, except assignments whose value is
+only names (``P, H = powersum, homogeneous``): an alias reaches nothing.
 """
 
 import ast
@@ -48,9 +49,16 @@ def _definitions():
                         defs[module, f"{node.name}.{item.name}"] = ([item], node.name)
                     else:
                         toplevel.append(item)
-            else:
+            elif not _is_alias(node):
                 toplevel.append(node)
     return defs, toplevel
+
+
+def _is_alias(node) -> bool:
+    if not isinstance(node, ast.Assign):
+        return False
+    values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+    return all(isinstance(value, ast.Name) for value in values)
 
 
 def unreached() -> list[str]:

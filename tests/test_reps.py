@@ -19,8 +19,9 @@ from parthom.reps import (
     simsun,
     whitehouse_module,
 )
-from parthom.symfunc import E, H, P, S, SymFunc, positivity
+from parthom.symfunc import SymFunc, positivity
 from test_poset import stirling2
+from test_symfunc import E, H, P, S
 
 
 def zigzag_oracle(n):

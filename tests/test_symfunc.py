@@ -6,18 +6,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parthom.chartable import character
-from parthom.partitions import partitions_of, zee
+from parthom.partitions import check_partition, partitions_of, zee
 from parthom.symfunc import (
-    E,
-    H,
-    P,
-    S,
     SymFunc,
+    homogeneous as H,
     hook_schur,
     plethysm,
     plethysm_with_h_sum,
     positivity,
+    powersum as P,
 )
+
+
+# ---------------------------------------------------------------------------
+# constructors that only tests use
+
+def elementary(spec, coeff=1) -> SymFunc:
+    return SymFunc("e", {check_partition(spec): coeff})
+
+
+def schur(spec, coeff=1) -> SymFunc:
+    return SymFunc("s", {check_partition(spec): coeff})
+
+
+E, S = elementary, schur
 
 
 # ---------------------------------------------------------------------------
