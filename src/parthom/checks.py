@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import comb
 
 from .classfunc import ClassFunction
-from .errors import BOUNDS, ConcentrationError, refuse_past
-from .poset import BLOCK_SIZE_FAMILIES, parse_view
+from .errors import BLOCK_SIZE_FAMILIES, BOUNDS, ConcentrationError, refuse_past
+from .poset import parse_view
 from .reps import (
     chain_characteristic,
     class_values,
@@ -202,9 +202,6 @@ def stability_report(ranks, k: int, n_max: int) -> StabilityReport:
 
 # ---------------------------------------------------------------------------
 # conjecture and theorem checkers
-
-CHECK_SUITES = ("conj-3.9", "conj-3.7", "hh", "euler", "orbit", "even", "method")
-
 
 def _check_even_top_h_positive(verdict: Verdict, n: int, k: int) -> None:
     ranks = tuple(range(2 * n - 2 * k, 2 * n - 1, 2))

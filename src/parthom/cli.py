@@ -17,30 +17,50 @@ concentration or a Smith normal form invariant did not hold).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
 from . import cache
-from .errors import ConcentrationError, FeasibilityError, ModuleCheckError, refuse_past
-from .poset import BLOCK_SIZE_FAMILIES, is_decimal, parse_rank_set, parse_view
-from .reps import (
-    chain_characteristic,
-    class_values,
-    euler_number,
-    even_block_characteristic,
-    even_block_multiplicity,
-    ek_number,
-    homology_characteristic,
-    lie_character,
-    multiplicities,
-    rank_subsets,
-    simsun,
-    trivial_multiplicities,
-    whitehouse_module,
+from .errors import (
+    BLOCK_SIZE_FAMILIES,
+    ConcentrationError,
+    FeasibilityError,
+    ModuleCheckError,
+    is_decimal,
+    parse_rank_set,
+    refuse_past,
 )
-from .symfunc import SymFunc, hook_schur
-from .checks import CHECK_SUITES, conjecture_checks, stability_report, subposet_homology_report
-from .topology import view_homology
+
+
+def _lazy(name: str):
+    """The module ``parthom.<name>``, registered in ``sys.modules`` but
+    executed (and so compiled) only on its first attribute access: the
+    importlib "implementing lazy imports" recipe.  A module already
+    imported is returned as it is.  Library code is therefore named through
+    its module at call time (``reps.multiplicities(...)``): ``from .reps
+    import multiplicities`` would read ``__spec__`` and load the module at
+    once."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        # bound on the package as an import binds it, for ``parthom.<name>``
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+checks, poset, reps, symfunc, topology, *_ = map(_lazy, (
+    "checks", "poset", "reps", "symfunc", "topology",
+    # not called here, but bench/tracer.py looks up every module it wraps in
+    # sys.modules right after importing this one
+    "chartable", "classfunc", "setparts", "snf"))
+
+CHECK_SUITES = ("conj-3.9", "conj-3.7", "hh", "euler", "orbit", "even", "method")
 
 
 def _int(text: str) -> int:
@@ -113,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # result assembly (cacheable payload dicts)
 
-def _symfunc_payload(f: SymFunc, basis: str) -> dict:
+def _symfunc_payload(f: symfunc.SymFunc, basis: str) -> dict:
     # the dimension does not depend on the basis; f's own needs no conversion
     return {"symfunc": f.in_basis(basis).to_json_dict(), "dimension": str(f.dimension())}
 
@@ -121,17 +141,17 @@ def _symfunc_payload(f: SymFunc, basis: str) -> dict:
 def _result_sf(args) -> dict:
     refuse_past("degree", 2 * args.n if args.family == "reven" else args.n)
     if args.family == "lie":
-        f = lie_character(args.n)
+        f = reps.lie_character(args.n)
     elif args.family == "whitehouse":
         if args.k is None:
             raise ValueError("whitehouse needs --k")
-        f = whitehouse_module(args.n, args.k)
+        f = reps.whitehouse_module(args.n, args.k)
     elif args.family == "reven":
-        f = even_block_characteristic(args.n)
+        f = reps.even_block_characteristic(args.n)
     else:
         if args.k is None:
             raise ValueError("hook needs --k")
-        f = hook_schur(args.n, args.k)
+        f = symfunc.hook_schur(args.n, args.k)
     return _symfunc_payload(f, args.basis)
 
 
@@ -140,15 +160,15 @@ def _result_alpha_beta(args) -> dict:
     if args.mult and args.n < 2:
         raise ValueError(f"{args.command} --mult needs a ground size --n >= 2, got {args.n}")
     homology = args.command == "beta"
-    fn = homology_characteristic if homology else chain_characteristic
+    fn = reps.homology_characteristic if homology else reps.chain_characteristic
     f = fn(args.n, ranks, method=args.method)
     payload = _symfunc_payload(f, args.basis)
     payload["n"] = args.n
     payload["ranks"] = list(ranks)
     if args.mult:
         # paired from the class values of the printed module, by its own method
-        values = class_values(args.n, ranks, homology, args.method)
-        pair = dict(zip(("trivial", "refl"), trivial_multiplicities(args.n, values)))
+        values = reps.class_values(args.n, ranks, homology, args.method)
+        pair = dict(zip(("trivial", "refl"), reps.trivial_multiplicities(args.n, values)))
         row = {}
         for name in args.mult.split(","):
             name = name.strip()
@@ -160,7 +180,9 @@ def _result_alpha_beta(args) -> dict:
 
 
 def _result_homology(args) -> dict:
-    return view_homology(parse_view(args.n, args.poset)).to_json_dict()
+    # a view refused by its size never loads the topology
+    view = poset.parse_view(args.n, args.poset)
+    return topology.view_homology(view).to_json_dict()
 
 
 def _result_table(args) -> dict:
@@ -171,31 +193,31 @@ def _result_table(args) -> dict:
             raise ValueError(f"table --family bS needs a ground size --n >= 2, got {args.n}")
         columns = ("a_S", "a'_S", "b_S", "b'_S")
         rows = [
-            {"n": args.n, "S": list(S), **dict(zip(columns, multiplicities(args.n, S)))}
-            for S in rank_subsets(range(1, args.n - 1))
+            {"n": args.n, "S": list(S), **dict(zip(columns, reps.multiplicities(args.n, S)))}
+            for S in reps.rank_subsets(range(1, args.n - 1))
         ]
         return {"family": "bS", "n": args.n, "rows": rows}
     limit = args.max_n
     if limit is None:
         raise ValueError(f"table --family {args.family} needs --max-n")
     if args.family == "euler":
-        rows = [{"n": n, "E_n": euler_number(n)} for n in range(limit + 1)]
+        rows = [{"n": n, "E_n": reps.euler_number(n)} for n in range(limit + 1)]
     elif args.family == "simsun":
         rows = [
-            {"n": n, "i": i, "a_i(n)": simsun(i, n)}
+            {"n": n, "i": i, "a_i(n)": reps.simsun(i, n)}
             for n in range(1, limit + 1)
             for i in range(n // 2 + 1)
-            if simsun(i, n)
+            if reps.simsun(i, n)
         ]
     elif args.family == "bi":
         rows = [
-            {"n": n, "i": i, "b_i(n)": even_block_multiplicity(i, n)}
+            {"n": n, "i": i, "b_i(n)": reps.even_block_multiplicity(i, n)}
             for n in range(2, limit + 1)
             for i in range(2, n + 1)
         ]
     else:
         rows = [
-            {"n": n, "k": k, "E_k(n)": ek_number(k, n)}
+            {"n": n, "k": k, "E_k(n)": reps.ek_number(k, n)}
             for n in range(2, limit + 1)
             for k in range(2, n + 1)
         ]
@@ -205,7 +227,7 @@ def _result_table(args) -> dict:
 
 
 def _result_check(args) -> dict:
-    verdict = conjecture_checks(args.suite, args.max_n)
+    verdict = checks.conjecture_checks(args.suite, args.max_n)
     if not verdict.assertions:
         # a suite that checks nothing must not report a pass
         raise ValueError(f"suite {args.suite!r} checks nothing at --max-n {args.max_n}")
@@ -216,10 +238,11 @@ def _result_report(args) -> dict:
     if args.family == "stability":
         if not args.ranks or args.k is None or args.max_n is None:
             raise ValueError("stability report needs --ranks, --k and --max-n")
-        return stability_report(parse_rank_set(args.ranks), args.k, args.max_n).to_json_dict()
+        report = checks.stability_report(parse_rank_set(args.ranks), args.k, args.max_n)
+        return report.to_json_dict()
     if args.n is None or args.k is None:
         raise ValueError("subposet report needs --n and --k")
-    return subposet_homology_report(args.family, args.n, args.k)
+    return checks.subposet_homology_report(args.family, args.n, args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +298,7 @@ def _render(data: dict, args) -> str:
         return json.dumps(data, sort_keys=True) + "\n"
     # pretty
     if "symfunc" in data:
-        f = SymFunc.from_json_dict(data["symfunc"])
+        f = symfunc.SymFunc.from_json_dict(data["symfunc"])
         bits = [repr(f), f"dimension {data['dimension']}"]
         if "multiplicities" in data:
             bits.append(str(data["multiplicities"]))

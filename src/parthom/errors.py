@@ -1,4 +1,8 @@
-"""Shared exception types and the size bounds behind every refusal."""
+"""Shared exception types, the size bounds behind every refusal, and the
+grammar of the command line's integers, rank sets and family names.
+
+This module imports nothing, so the command-line front end can parse and
+check a request before it loads any module that computes."""
 
 #: the documented size bounds, each read when a request is checked against it
 BOUNDS = {
@@ -34,3 +38,38 @@ class ModuleCheckError(RuntimeError):
 class ConcentrationError(RuntimeError):
     """Homology is not free and concentrated in a single degree, so the
     Lefschetz shortcut for reading off its character is invalid."""
+
+
+# ---------------------------------------------------------------------------
+# the grammar of the command line
+
+#: the block-size view families, in the order of their predicates in
+#: :mod:`parthom.poset`
+BLOCK_SIZE_FAMILIES = ("qnk", "pnk", "le", "ne")
+
+
+def is_decimal(text: str) -> bool:
+    """The grammar of every integer the CLI reads: ASCII digits with an
+    optional leading ``-`` and whitespace around them.  ``int()`` would also
+    take ``+``, underscores and the digits of other scripts."""
+    digits = text.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_rank_set(text: str) -> tuple[int, ...]:
+    """Parse comma lists with ranges: ``1-3,5`` -> (1, 2, 3, 5); ``-`` is empty.
+    Each rank is ASCII digits, with whitespace around it allowed."""
+    text = text.strip()
+    if not text or text == "-":
+        return ()
+    out: set[int] = set()
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        parts = chunk.split("-")
+        if len(parts) > 2 or not all(is_decimal(part) for part in parts):
+            raise ValueError(f"malformed rank set {text!r}")
+        lo, hi = int(parts[0]), int(parts[-1])
+        if lo > hi:
+            raise ValueError(f"reversed rank range {chunk!r}")
+        out.update(range(lo, hi + 1))
+    return tuple(sorted(out))

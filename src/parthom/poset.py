@@ -2,8 +2,8 @@
 
 A :class:`PosetView` materializes the proper part (never the adjoined
 bounds) of one of the named families, grouped by rank.  :func:`parse_view`
-is the only constructor of a named view; it reads the block-size families
-from :data:`BLOCK_SIZE_FAMILIES`:
+is the only constructor of a named view; the names of the block-size
+families are :data:`~parthom.errors.BLOCK_SIZE_FAMILIES`:
 
 * ``full`` -- all of the proper part, ranks 1..n-2;
 * ``ranks:S`` -- the rank-selected subposet for S inside [1, n-2];
@@ -50,7 +50,14 @@ from __future__ import annotations
 from itertools import chain
 from operator import itemgetter
 
-from .errors import BOUNDS, FeasibilityError, refuse_past
+from .errors import (
+    BLOCK_SIZE_FAMILIES,
+    BOUNDS,
+    FeasibilityError,
+    is_decimal,
+    parse_rank_set,
+    refuse_past,
+)
 from .partitions import check_partition
 from .setparts import SetPartition, canonical_permutation, from_growth, growth_table
 
@@ -250,15 +257,16 @@ def rank_selected_view(n: int, ranks) -> PosetView:
     return PosetView(n, "ranks:" + ",".join(map(str, ranks)), ranks)
 
 
-#: the block-size families, each a predicate on (block sizes, k): qnk and pnk
-#: delete the modular elements whose non-singleton block has size k, or any
-#: size 2..k; le keeps every block of size at most k, ne no block of size k
-BLOCK_SIZE_FAMILIES = {
-    "qnk": lambda sizes, k: _modular_size(sizes) != k,
-    "pnk": lambda sizes, k: (size := _modular_size(sizes)) is None or not 2 <= size <= k,
-    "le": lambda sizes, k: max(sizes) <= k,
-    "ne": lambda sizes, k: k not in sizes,
-}
+#: the predicate on (block sizes, k) of each of BLOCK_SIZE_FAMILIES, in its
+#: order: qnk and pnk delete the modular elements whose non-singleton block
+#: has size k, or any size 2..k; le keeps every block of size at most k, ne
+#: no block of size k
+_KEEP = dict(zip(BLOCK_SIZE_FAMILIES, (
+    lambda sizes, k: _modular_size(sizes) != k,
+    lambda sizes, k: (size := _modular_size(sizes)) is None or not 2 <= size <= k,
+    lambda sizes, k: max(sizes) <= k,
+    lambda sizes, k: k not in sizes,
+), strict=True))
 
 
 def parse_view(n: int, spec: str) -> PosetView:
@@ -267,12 +275,12 @@ def parse_view(n: int, spec: str) -> PosetView:
     spec = spec.strip()
     if spec.startswith("ranks:"):
         return rank_selected_view(n, parse_rank_set(spec[len("ranks:"):]))
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     if name not in BLOCK_SIZE_FAMILIES and name not in ("full", "even", "even-top"):
         raise ValueError(f"unknown view spec {spec!r}")
     k = None
-    if arg:
-        # full and even take no parameter
+    if colon:
+        # full and even take no parameter, not even an empty one
         if name in ("full", "even") or not arg.startswith("k=") or not is_decimal(arg[2:]):
             raise ValueError(f"malformed view parameter in {spec!r}")
         k = int(arg[2:])
@@ -283,7 +291,7 @@ def parse_view(n: int, spec: str) -> PosetView:
     if name in BLOCK_SIZE_FAMILIES:
         if not 2 <= k <= n - 1:
             raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-        keep = BLOCK_SIZE_FAMILIES[name]
+        keep = _KEEP[name]
         return PosetView(n, f"{name}:k={k}", range(1, n - 1), lambda sizes: keep(sizes, k))
     # partitions with an even number of blocks: ranks n-2, n-4, ... down to
     # 2, or the top k of them
@@ -294,33 +302,6 @@ def parse_view(n: int, spec: str) -> PosetView:
     if not 1 <= k <= n // 2 - 1:
         raise ValueError(f"need 1 <= k <= n/2-1, got k={k}")
     return PosetView(n, f"even-top:k={k}", range(n - 2 * k, n - 1, 2))
-
-
-def is_decimal(text: str) -> bool:
-    """The grammar of every integer the CLI reads: ASCII digits with an
-    optional leading ``-`` and whitespace around them.  ``int()`` would also
-    take ``+``, underscores and the digits of other scripts."""
-    digits = text.strip().removeprefix("-")
-    return digits.isascii() and digits.isdigit()
-
-
-def parse_rank_set(text: str) -> tuple[int, ...]:
-    """Parse comma lists with ranges: ``1-3,5`` -> (1, 2, 3, 5); ``-`` is empty.
-    Each rank is ASCII digits, with whitespace around it allowed."""
-    text = text.strip()
-    if not text or text == "-":
-        return ()
-    out: set[int] = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        parts = chunk.split("-")
-        if len(parts) > 2 or not all(is_decimal(part) for part in parts):
-            raise ValueError(f"malformed rank set {text!r}")
-        lo, hi = int(parts[0]), int(parts[-1])
-        if lo > hi:
-            raise ValueError(f"reversed rank range {chunk!r}")
-        out.update(range(lo, hi + 1))
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,8 @@ def _in_p(basis: str, lam: tuple) -> tuple:
         pairs = ((mu, character(lam, mu)) for mu in partitions_of(n))
     else:
         # Hall duality: <m_lam, p_mu> is the h_lam coefficient of p_mu
-        pairs = ((mu, dict(_p_in("h", mu)).get(lam)) for mu in partitions_of(n))
-    return tuple((mu, Fraction(c, zee(mu))) for mu, c in pairs if c)
+        pairs = _columns(_p_in, n).get(lam, ())
+    return tuple((mu, Fraction(c, zee(mu))) for mu, c in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -168,11 +168,23 @@ def _p_in(basis: str, mu: tuple) -> tuple:
     # Hall duality: the m_lam coefficient is <p_mu, h_lam>, z_mu times the
     # p_mu coefficient of h_lam, and must come out an integer
     z = zee(mu)
-    pairs = [(lam, dict(_in_p("h", lam)).get(mu, 0) * z) for lam in partitions_of(n)]
+    pairs = [(lam, c * z) for lam, c in _columns(_in_p, n).get(mu, ())]
     for lam, c in pairs:
         if c.denominator != 1:
             raise ModuleCheckError(f"m{lam} coefficient {c} of p{mu} is not an integer")
-    return tuple((lam, c.numerator) for lam, c in pairs if c)
+    return tuple((lam, c.numerator) for lam, c in pairs)
+
+
+@lru_cache(maxsize=None)
+def _columns(table, n: int) -> dict:
+    """The h table ``table("h", row)`` of degree n transposed in one pass:
+    each partition maps to its nonzero ``(row, coefficient)`` pairs, rows
+    in the order of :func:`partitions_of`.  The m basis reads its rows here."""
+    columns: dict = {}
+    for row in partitions_of(n):
+        for key, c in table("h", row):
+            columns.setdefault(key, []).append((row, c))
+    return {key: tuple(pairs) for key, pairs in columns.items()}
 
 
 def _twist(terms: Terms) -> Terms:

@@ -33,10 +33,11 @@ def test_every_traced_name_resolves():
             assert callable(getattr(module, attr, None)), (module_name, attr)
 
 
-def test_traced_homology_run_records_the_topology_spans(tmp_path):
+def traced_and_plain(tmp_path, args) -> list[dict]:
+    """The spans of one traced run, after checking that its stdout is the
+    plain run's."""
     spans_file = tmp_path / "spans.jsonl"
     src = str(Path(__file__).resolve().parents[1] / "src")
-    args = ["homology", "--n", "5", "--poset", "full", "--no-cache"]
     env = dict(os.environ, PYTHONPATH=src)
     traced = subprocess.run(
         [sys.executable, str(TRACER), str(spans_file), "probe", "--", *args],
@@ -44,10 +45,22 @@ def test_traced_homology_run_records_the_topology_spans(tmp_path):
     plain = subprocess.run(
         [sys.executable, "-m", "parthom", *args], capture_output=True, env=env, check=True)
     assert traced.stdout == plain.stdout
-    spans = [json.loads(line) for line in spans_file.read_text().splitlines()]
+    return [json.loads(line) for line in spans_file.read_text().splitlines()]
+
+
+def test_traced_homology_run_records_the_topology_spans(tmp_path):
+    spans = traced_and_plain(tmp_path, ["homology", "--n", "5", "--poset", "full", "--no-cache"])
     names = {span["name"] for span in spans}
     assert {"topology.order_complex", "topology.d2_check", "topology.homology",
             "snf.invariant_factors"} <= names
     # the residual handed to the Smith normal form is a matrix with its sizes
     snf = [span["attrs"] for span in spans if span["name"] == "snf.invariant_factors"]
     assert all({"nnz", "rows", "cols", "rank"} <= set(attrs) for attrs in snf)
+
+
+def test_traced_sf_run_records_the_conversion_spans(tmp_path):
+    # the entry point loads symfunc lazily: the tracer must still wrap what runs
+    args = ["sf", "--family", "whitehouse", "--n", "7", "--k", "3", "--basis", "s", "--no-cache"]
+    spans = traced_and_plain(tmp_path, args)
+    names = [span["name"] for span in spans]
+    assert "symfunc.in_basis" in names and "reps.whitehouse_module" in names

@@ -7,7 +7,8 @@ independent oracles.
   kept here as named oracles, and ``_p_in_h_sum`` against the general
   truncated ``plethysm``;
 * ``_in_p`` and ``_p_in`` against each other: for h, s and m the two
-  tables are inverse matrices;
+  tables are inverse matrices; the m tables also against the row-by-row
+  construction from the h tables that they replaced;
 * N_{n,m}(nu, lam) against a direct count of the set partitions fixed by
   one permutation of each cycle type;
 * alpha and beta class values against the symmetric-function recurrence,
@@ -146,6 +147,29 @@ def test_tables_into_and_out_of_powersums_invert_each_other(basis):
                 for kappa, d in rows[mu].items():
                     product[kappa] = product.get(kappa, 0) + c * d
             assert {kappa: v for kappa, v in product.items() if v} == {lam: 1}, lam
+
+
+def oracle_m_rows(n):
+    """The monomial tables of degree n built row by row, each row from a new
+    dict of every h row: by Hall duality [p_mu]m_lam = [h_lam]p_mu / z_mu
+    and [m_lam]p_mu = z_mu [p_mu]h_lam."""
+    into = {lam: tuple((mu, Fraction(c, zee(mu))) for mu in partitions_of(n)
+                       if (c := dict(_p_in("h", mu)).get(lam)))
+            for lam in partitions_of(n)}
+    out = {mu: tuple((lam, c) for lam in partitions_of(n)
+                     if (c := dict(_in_p("h", lam)).get(mu, 0) * zee(mu)))
+           for mu in partitions_of(n)}
+    return into, out
+
+
+def test_monomial_tables_match_the_row_by_row_oracle():
+    # the transposed h tables give the same rows, in the same order
+    for n in range(11):
+        into, out = oracle_m_rows(n)
+        assert {lam: _in_p("m", lam) for lam in partitions_of(n)} == into, n
+        got = {mu: _p_in("m", mu) for mu in partitions_of(n)}
+        assert got == out, n
+        assert all(type(c) is int for row in got.values() for _, c in row), n
 
 
 def test_non_integer_monomial_entry_raises(monkeypatch):

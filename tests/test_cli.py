@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from parthom import cache
+from parthom import cache, reps
 from parthom.cli import main
 from parthom.errors import ConcentrationError, ModuleCheckError
 from parthom.reps import euler_number
@@ -253,7 +253,7 @@ def test_malformed_rank_sets_and_view_parameters_exit_2(capsys):
     commands += [
         (["homology", "--n", "6", "--poset", spec], f"malformed view parameter in {spec!r}")
         for spec in ("qnk:k=", "le:k=+2", "le:k=1_0", "ne:k=٣", "pnk:k=--3", "full:k=2",
-                     "even:k=2")
+                     "even:k=2", "full:", "even:", "qnk:")
     ]
     for argv, message in commands:
         code = main([*argv, "--no-cache"])
@@ -306,10 +306,8 @@ def test_alpha_offers_only_its_own_methods(capsys):
 
 
 def test_table_bs_refuses_ground_size_below_2(capsys, monkeypatch):
-    import parthom.cli as cli
-
     calls = []
-    monkeypatch.setattr(cli, "multiplicities", lambda n, S: calls.append(S))
+    monkeypatch.setattr(reps, "multiplicities", lambda n, S: calls.append(S))
     for n in ("-3", "0", "1"):
         code = main(["table", "--family", "bS", "--n", n, "--format", "json", "--no-cache"])
         captured = capsys.readouterr()
@@ -490,12 +488,10 @@ def test_equal_rank_sets_share_one_cache_entry(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [ModuleCheckError, ConcentrationError, AssertionError])
 def test_internal_failure_exit_3(capsys, monkeypatch, error):
-    import parthom.cli as cli
-
     def broken(*args, **kwargs):
         raise error("invariant broken")
 
-    monkeypatch.setattr(cli, "homology_characteristic", broken)
+    monkeypatch.setattr(reps, "homology_characteristic", broken)
     assert main(["beta", "--n", "6", "--ranks", "1,3", "--no-cache"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,12 +1,18 @@
-"""Guards on what the package imports: no name imported and never used, and
-no heavy standard-library module pulled in by the command-line entry point,
-which every CLI call pays for at start-up."""
+"""Guards on what the package imports: no name imported and never used, no
+heavy standard-library module pulled in by the command-line entry point,
+which every CLI call pays for at start-up, and no library module executed
+(so compiled) by a command that does not run it."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
+
+from test_bench_bindings import load_tracer
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -48,3 +54,72 @@ def test_package_import_loads_no_module():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == ""
+
+
+#: run in a fresh interpreter: import the entry point, run one command with
+#: its stdout dropped, then name every parthom module in sys.modules and
+#: whether it was executed; a lazily registered module that no attribute
+#: access has loaded yet is not a plain module
+PROBE = """
+import contextlib, io, json, sys, types
+import parthom.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = parthom.cli.main(sys.argv[1:])
+modules = {name.removeprefix("parthom."): type(module) is types.ModuleType
+           for name, module in sys.modules.items() if name.startswith("parthom.")}
+print(json.dumps({"code": code, "modules": modules}))
+"""
+
+START = {"cli", "cache", "errors"}
+SYMFUNC = START | {"symfunc", "chartable", "partitions"}
+RECURRENCE = SYMFUNC | {"reps", "classfunc", "poset", "setparts"}
+HOMOLOGY = SYMFUNC | {"topology", "snf", "classfunc", "poset", "setparts"}
+
+
+def probe(*argv) -> tuple[int | None, dict[str, bool]]:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    result = json.loads(out.stdout)
+    return result["code"], result["modules"]
+
+
+def executed(modules: dict[str, bool]) -> set[str]:
+    return {name for name, ran in modules.items() if ran}
+
+
+def test_cli_import_registers_every_traced_module_but_executes_three():
+    tracer = load_tracer()
+    # bench/tracer.py looks each one up in sys.modules right after the import
+    traced = {module for module, *_ in tracer["SPANS"] + tracer["COUNTS"]}
+    traced.add("parthom.chartable")
+    _, modules = probe()
+    assert {name.removeprefix("parthom.") for name in traced} <= set(modules)
+    assert executed(modules) == START
+
+
+@pytest.mark.parametrize("fmt, expected", [("json", START), ("tsv", START), ("pretty", SYMFUNC)])
+def test_cache_hit_executes_only_what_renders_it(tmp_path, fmt, expected):
+    argv = ["sf", "--family", "whitehouse", "--n", "5", "--k", "3", "--cache-dir", str(tmp_path)]
+    assert probe(*argv)[0] == 0
+    code, modules = probe(*argv, "--format", fmt)
+    assert code == 0 and executed(modules) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["homology", "--n", "5", "--poset", "full"], HOMOLOGY),
+    (["beta", "--n", "6", "--ranks", "1,3"], RECURRENCE),
+    (["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains"], RECURRENCE),
+    (["sf", "--family", "lie", "--n", "5", "--basis", "s"], RECURRENCE),
+    (["table", "--family", "bS", "--n", "5"], RECURRENCE),
+], ids=["homology", "beta", "alpha-chains", "sf", "table"])
+def test_each_command_executes_only_the_modules_it_runs(argv, expected):
+    code, modules = probe(*argv, "--no-cache", "--format", "json")
+    assert code == 0 and executed(modules) == expected
+
+
+def test_a_view_refused_by_its_size_loads_no_topology():
+    code, modules = probe("homology", "--n", "11", "--poset", "full", "--no-cache")
+    assert code == 2 and executed(modules) == START | {"poset", "setparts", "partitions"}

@@ -4,15 +4,9 @@ from math import factorial
 
 import pytest
 
-from parthom.errors import FeasibilityError
+from parthom.errors import FeasibilityError, parse_rank_set
 from parthom.partitions import multiplicities as part_mults
-from parthom.poset import (
-    chain_sums,
-    fixed_chain_count,
-    parse_rank_set,
-    parse_view,
-    rank_selected_view,
-)
+from parthom.poset import chain_sums, fixed_chain_count, parse_view, rank_selected_view
 from parthom.setparts import SetPartition, act, canonical_permutation
 from test_chain_sums import oracle_maximal_chains, set_partitions
 
