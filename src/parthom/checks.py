@@ -12,7 +12,6 @@ from math import comb
 
 from .classfunc import ClassFunction
 from .errors import BLOCK_SIZE_FAMILIES, BOUNDS, ConcentrationError, refuse_past
-from .poset import parse_view
 from .reps import (
     chain_characteristic,
     class_values,
@@ -28,7 +27,6 @@ from .reps import (
     whitehouse_module,
 )
 from .symfunc import SymFunc, homogeneous, positivity
-from .topology import concentrated_character, view_homology
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +389,10 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
     if family not in BLOCK_SIZE_FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"expected one of {sorted(BLOCK_SIZE_FAMILIES)}")
+    # imported here, so that the other checks load no poset or topology
+    from .poset import parse_view
+    from .topology import concentrated_character, view_homology
+
     view = parse_view(n, f"{family}:k={k}")
     hom = view_homology(view)
     report = {

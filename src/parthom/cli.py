@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import sys
 
 from . import cache
@@ -325,12 +326,23 @@ def _cache_params(args) -> dict:
     return params
 
 
+def _check_out(path: str) -> None:
+    """Refuse, before any computation, an ``--out`` path that names a
+    directory or lies in no directory."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write --out {path!r}: Is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"cannot write --out {path!r}: No such directory")
+
+
 def main(argv=None) -> int:
     # exact answers print in full and a cached one reads back, however long
     sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         cache_dir = None
         # every command but check caches its payload
         if args.command != "check" and not args.no_cache:
@@ -348,8 +360,12 @@ def main(argv=None) -> int:
         return 3
     text = _render(data, args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if args.command == "check" and not data.get("passed", True):

@@ -73,3 +73,13 @@ def parse_rank_set(text: str) -> tuple[int, ...]:
             raise ValueError(f"reversed rank range {chunk!r}")
         out.update(range(lo, hi + 1))
     return tuple(sorted(out))
+
+
+def rank_set(n: int, ranks) -> tuple[int, ...]:
+    """The rank set sorted without repeats, each rank checked to lie in
+    [1, n - 2]."""
+    ranks = tuple(sorted(set(map(int, ranks))))
+    for r in ranks:
+        if not 1 <= r <= n - 2:
+            raise ValueError(f"rank {r} outside [1, {n - 2}] for ground size {n}")
+    return ranks

@@ -56,6 +56,7 @@ from .errors import (
     FeasibilityError,
     is_decimal,
     parse_rank_set,
+    rank_set,
     refuse_past,
 )
 from .partitions import check_partition
@@ -240,16 +241,6 @@ def _modular_size(sizes) -> int | None:
     # the sizes exceed 1 by n - (block count) in all: when the largest block
     # alone does, every other block is a singleton
     return big if big > 1 and big - 1 == sum(sizes) - len(sizes) else None
-
-
-def rank_set(n: int, ranks) -> tuple[int, ...]:
-    """The rank set sorted without repeats, each rank checked to lie in
-    [1, n - 2]."""
-    ranks = tuple(sorted(set(map(int, ranks))))
-    for r in ranks:
-        if not 1 <= r <= n - 2:
-            raise ValueError(f"rank {r} outside [1, {n - 2}] for ground size {n}")
-    return ranks
 
 
 def rank_selected_view(n: int, ranks) -> PosetView:

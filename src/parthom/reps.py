@@ -28,9 +28,8 @@ from typing import NamedTuple
 
 from .chartable import character
 from .classfunc import ClassFunction
-from .errors import ModuleCheckError, refuse_past
+from .errors import ModuleCheckError, rank_set, refuse_past
 from .partitions import check_partition, partitions_of, zee
-from .poset import fixed_chain_count, rank_selected_view, rank_set
 from .symfunc import (
     SymFunc,
     _p_in_h_sum,
@@ -99,6 +98,9 @@ def rank_subsets(ranks):
 def _fixed_chain_values(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """Class values of the alpha module by the chain method: the maximal
     chains of the rank-selected view fixed by each cycle type."""
+    # imported here, so that only the chain method loads the poset modules
+    from .poset import fixed_chain_count, rank_selected_view
+
     view = rank_selected_view(n, ranks)
     return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
 

@@ -41,11 +41,9 @@ the chain dynamic program without building the complex.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import accumulate, chain, compress
 from operator import itemgetter
 
-from .classfunc import ClassFunction
 from .errors import BOUNDS, ConcentrationError, FeasibilityError
 from .partitions import partitions_of
 from .poset import PosetView, chain_sums
@@ -254,20 +252,23 @@ def mobius_number(view: PosetView) -> int:
     return chain_sums(view, covers=False)
 
 
-def lefschetz_class_function(view: PosetView) -> ClassFunction:
-    """For each cycle type, the alternating sum over dimensions of the count
-    of simplices fixed pointwise, with the empty simplex contributing -1.
+def lefschetz_class_function(view: PosetView):
+    """The :class:`~parthom.classfunc.ClassFunction` whose value at each
+    cycle type is the alternating sum over dimensions of the count of
+    simplices fixed pointwise, with the empty simplex contributing -1.
 
     Only chains of fixed elements are fixed pointwise, so the value at g is
     the reduced Euler characteristic of the order complex of the g-fixed
     subposet; by the Hopf trace formula the result equals the alternating
     sum of the homology characters.
     """
+    # imported here, so that a homology run loads no symmetric-function algebra
+    from .classfunc import ClassFunction
+
     n = view.n
-    values = {}
-    for mu in partitions_of(n):
-        values[mu] = Fraction(chain_sums(view, canonical_permutation(mu, n), covers=False))
-    return ClassFunction(n, values)
+    return ClassFunction(n, {
+        mu: chain_sums(view, canonical_permutation(mu, n), covers=False)
+        for mu in partitions_of(n)})
 
 
 def concentrated_character(view: PosetView, hom: HomologyResult | None = None):
@@ -290,7 +291,7 @@ def concentrated_character(view: PosetView, hom: HomologyResult | None = None):
             f"homology of {view.describe()} has torsion {hom.torsion[d]} in degree {d}"
         )
     lef = lefschetz_class_function(view)
-    chi = lef if d % 2 == 0 else lef * Fraction(-1)
+    chi = lef if d % 2 == 0 else lef * -1
     if chi.dimension() != hom.betti[d]:
         raise ConcentrationError(
             f"Lefschetz dimension {chi.dimension()} != betti {hom.betti[d]} for {view.describe()}"

@@ -437,9 +437,11 @@ def test_cache_entry_of_other_code_not_served(tmp_path, capsys, monkeypatch):
             "--cache-dir", str(tmp_path)]
     monkeypatch.setattr(cache, "code_hash", lambda: "0" * 64)
     _, out = run(capsys, *argv)
-    # tamper with the entry so that serving it would show
+    # tamper with the payload the entry keeps, so that serving it would show
     entry = next(tmp_path.rglob("*.json"))
-    entry.write_text(json.dumps(dict(json.loads(out), dimension="-1")))
+    stored = json.loads(entry.read_text())
+    stored["payload"]["dimension"] = "-1"
+    entry.write_text(json.dumps(stored))
     assert run(capsys, *argv)[1] != out
     monkeypatch.undo()
     assert run(capsys, *argv) == (0, out)
@@ -475,6 +477,46 @@ def test_one_miss_reads_the_sources_once_and_keys_load_and_store_alike(
     assert [path.stem for path in tmp_path.rglob("*.json")] == keys[:1]
 
 
+def test_a_request_sharing_an_entry_name_is_recomputed_not_served(
+        tmp_path, capsys, monkeypatch):
+    # the name is 64 bits of the key text; the entry keeps the text itself
+    monkeypatch.setattr(cache, "cache_key", lambda command, params: "0" * 16)
+    base = ["sf", "--family", "lie", "--format", "json", "--cache-dir", str(tmp_path)]
+    _, first = run(capsys, *base, "--n", "4")
+    code, second = run(capsys, *base, "--n", "5")
+    assert code == 0 and second != first
+    assert second == run(capsys, *base, "--n", "5", "--no-cache")[1]
+    assert [path.name for path in tmp_path.rglob("*.json")] == ["0" * 16 + ".json"]
+
+
+def test_a_cache_key_is_equal_in_two_fresh_interpreters():
+    import os
+    import pathlib
+    import subprocess
+
+    code = ("from parthom import cache; "
+            "print(cache.cache_key('beta', {'n': 6, 'ranks': [1, 3]}))")
+    src = str(pathlib.Path(cache.__file__).parents[1])
+    keys = {subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                           text=True, check=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                           ).stdout.strip()
+            for seed in ("1", "2")}
+    assert keys == {cache.cache_key("beta", {"n": 6, "ranks": [1, 3]})}
+    assert len(keys.pop()) == 16
+
+
+def test_a_cache_that_cannot_be_written_still_prints_the_result(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = ["sf", "--family", "lie", "--n", "4"]
+    code = main([*argv, "--cache-dir", str(not_a_dir)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == run(capsys, *argv, "--no-cache")[1]
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+    assert "corrupt" not in captured.err
+
+
 def test_equal_rank_sets_share_one_cache_entry(tmp_path, capsys):
     outputs = set()
     for ranks in ("1,3", "3,1", "1-1,3"):
@@ -504,10 +546,12 @@ def test_corrupt_cache_entry_recomputed(tmp_path, capsys):
     argv = ["sf", "--family", "lie", "--n", "3", "--format", "json",
             "--cache-dir", str(tmp_path)]
     code1, out1 = run(capsys, *argv)
-    entry = next(tmp_path.rglob("*.json"))
-    entry.write_text("{ not json")
-    code2, out2 = run(capsys, *argv)
-    assert code2 == 0 and out2 == out1
+    # the second is not UTF-8
+    for corrupt in (b"{ not json", b"\xff\xfe"):
+        entry = next(tmp_path.rglob("*.json"))
+        entry.write_bytes(corrupt)
+        code2, out2 = run(capsys, *argv)
+        assert code2 == 0 and out2 == out1
 
 
 def test_jobs_do_not_change_bytes(capsys):
@@ -527,6 +571,21 @@ def test_stability_tsv_handles_missing_columns(capsys):
     assert "alpha_two_row" in lines[0]
     first = dict(zip(lines[0].split("\t"), lines[1].split("\t")))
     assert first["alpha_two_row"] == "-"
+
+
+@pytest.mark.parametrize("where", ["missing-dir/x.txt", "file/x.txt", "."])
+def test_out_path_that_cannot_be_opened_is_refused(tmp_path, capsys, monkeypatch, where):
+    (tmp_path / "file").write_text("")
+
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the --out path was checked")
+
+    monkeypatch.setattr(reps, "lie_character", never)
+    code = main(["sf", "--family", "lie", "--n", "4", "--no-cache",
+                 "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_out_file(tmp_path, capsys):

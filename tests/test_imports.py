@@ -37,13 +37,21 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == {}
 
 
-def test_cli_import_pulls_in_no_dataclasses_or_inspect():
+def test_cli_import_pulls_in_no_dataclasses_or_inspect(tmp_path):
+    # nor OpenSSL behind hashlib, after the import and after a cold command
+    # that stores its result: the cache keys by CPython's own source hash
     code = ("import sys, parthom.cli; "
-            "print(','.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+            "heavy = lambda: ','.join(m for m in "
+            "('dataclasses', 'inspect', 'hashlib', '_hashlib') if m in sys.modules); "
+            "print(heavy()); "
+            "print(parthom.cli.main(sys.argv[1:]), heavy())")
+    argv = ["homology", "--n", "5", "--poset", "full", "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == ""
+    assert out.stdout.split("\n") == ["", "0 ", ""]
+    assert len(list(tmp_path.rglob("*.json"))) == 1
 
 
 def test_package_import_loads_no_module():
@@ -74,8 +82,10 @@ print(json.dumps({"code": code, "modules": modules}))
 
 START = {"cli", "cache", "errors"}
 SYMFUNC = START | {"symfunc", "chartable", "partitions"}
-RECURRENCE = SYMFUNC | {"reps", "classfunc", "poset", "setparts"}
-HOMOLOGY = SYMFUNC | {"topology", "snf", "classfunc", "poset", "setparts"}
+RECURRENCE = SYMFUNC | {"reps", "classfunc"}
+POSET = {"poset", "setparts", "partitions"}
+CHAINS = RECURRENCE | POSET
+HOMOLOGY = START | POSET | {"topology", "snf"}
 
 
 def probe(*argv) -> tuple[int | None, dict[str, bool]]:
@@ -111,10 +121,15 @@ def test_cache_hit_executes_only_what_renders_it(tmp_path, fmt, expected):
 @pytest.mark.parametrize("argv, expected", [
     (["homology", "--n", "5", "--poset", "full"], HOMOLOGY),
     (["beta", "--n", "6", "--ranks", "1,3"], RECURRENCE),
-    (["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains"], RECURRENCE),
+    (["alpha", "--n", "6", "--ranks", "1,3"], RECURRENCE),
+    (["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains"], CHAINS),
     (["sf", "--family", "lie", "--n", "5", "--basis", "s"], RECURRENCE),
     (["table", "--family", "bS", "--n", "5"], RECURRENCE),
-], ids=["homology", "beta", "alpha-chains", "sf", "table"])
+    (["report", "--family", "stability", "--ranks", "1", "--k", "2", "--max-n", "5"],
+     RECURRENCE | {"checks"}),
+    (["check", "--suite", "method", "--max-n", "4"], CHAINS | {"checks"}),
+], ids=["homology", "beta", "alpha", "alpha-chains", "sf", "table", "report-stability",
+        "check-method"])
 def test_each_command_executes_only_the_modules_it_runs(argv, expected):
     code, modules = probe(*argv, "--no-cache", "--format", "json")
     assert code == 0 and executed(modules) == expected
@@ -122,4 +137,4 @@ def test_each_command_executes_only_the_modules_it_runs(argv, expected):
 
 def test_a_view_refused_by_its_size_loads_no_topology():
     code, modules = probe("homology", "--n", "11", "--poset", "full", "--no-cache")
-    assert code == 2 and executed(modules) == START | {"poset", "setparts", "partitions"}
+    assert code == 2 and executed(modules) == START | POSET
