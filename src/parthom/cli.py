@@ -25,6 +25,7 @@ import sys
 from . import cache
 from .errors import (
     BLOCK_SIZE_FAMILIES,
+    SCHUR_REFUSAL,
     ConcentrationError,
     FeasibilityError,
     ModuleCheckError,
@@ -62,6 +63,16 @@ checks, poset, reps, symfunc, topology, *_ = map(_lazy, (
     "chartable", "classfunc", "setparts", "snf"))
 
 CHECK_SUITES = ("conj-3.9", "conj-3.7", "hh", "euler", "orbit", "even", "method")
+
+#: (command, family) -> the options that family never reads; naming one exits 2
+UNREAD = {
+    ("sf", "lie"): ("k",),
+    ("sf", "reven"): ("k",),
+    ("table", "bS"): ("max_n",),
+    **{("table", family): ("n",) for family in ("euler", "simsun", "bi", "ek")},
+    ("report", "stability"): ("n",),
+    **{("report", family): ("ranks", "max_n") for family in BLOCK_SIZE_FAMILIES},
+}
 
 
 def _int(text: str) -> int:
@@ -139,8 +150,16 @@ def _symfunc_payload(f: symfunc.SymFunc, basis: str) -> dict:
     return {"symfunc": f.in_basis(basis).to_json_dict(), "dimension": str(f.dimension())}
 
 
+def _refuse_degree(degree: int, basis: str) -> None:
+    """Refuse a module of this degree, or its conversion to the s basis,
+    before it is computed."""
+    refuse_past("degree", degree)
+    if basis == "s":
+        refuse_past("schur_degree", degree, SCHUR_REFUSAL)
+
+
 def _result_sf(args) -> dict:
-    refuse_past("degree", 2 * args.n if args.family == "reven" else args.n)
+    _refuse_degree(2 * args.n if args.family == "reven" else args.n, args.basis)
     if args.family == "lie":
         f = reps.lie_character(args.n)
     elif args.family == "whitehouse":
@@ -160,6 +179,7 @@ def _result_alpha_beta(args) -> dict:
     ranks = parse_rank_set(args.ranks)
     if args.mult and args.n < 2:
         raise ValueError(f"{args.command} --mult needs a ground size --n >= 2, got {args.n}")
+    _refuse_degree(args.n, args.basis)
     homology = args.command == "beta"
     fn = reps.homology_characteristic if homology else reps.chain_characteristic
     f = fn(args.n, ranks, method=args.method)
@@ -276,6 +296,20 @@ def _render_rows_tsv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pretty_symfunc(data: dict) -> str:
+    """The sorted terms of a symmetric-function payload as one sum, e.g.
+    ``h[2] - 1/2*h[1,1] + 3``."""
+    bits = []
+    for term in data["terms"]:
+        lam, c = term["partition"], term["coeff"]
+        if not lam:
+            bits.append(c)
+            continue
+        name = f"{data['basis']}[{','.join(map(str, lam))}]"
+        bits.append(name if c == "1" else f"-{name}" if c == "-1" else f"{c}*{name}")
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
+
+
 def _render(data: dict, args) -> str:
     if args.format == "json":
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
@@ -299,8 +333,7 @@ def _render(data: dict, args) -> str:
         return json.dumps(data, sort_keys=True) + "\n"
     # pretty
     if "symfunc" in data:
-        f = symfunc.SymFunc.from_json_dict(data["symfunc"])
-        bits = [repr(f), f"dimension {data['dimension']}"]
+        bits = [_pretty_symfunc(data["symfunc"]), f"dimension {data['dimension']}"]
         if "multiplicities" in data:
             bits.append(str(data["multiplicities"]))
         return "\n".join(bits) + "\n"
@@ -341,6 +374,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in UNREAD.get((args.command, getattr(args, "family", None)), ()):
+            if getattr(args, name) is not None:
+                option = "--" + name.replace("_", "-")
+                raise ValueError(f"{args.command} --family {args.family} does not read {option}")
         if args.out:
             _check_out(args.out)
         cache_dir = None

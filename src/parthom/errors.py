@@ -14,6 +14,9 @@ BOUNDS = {
     "method_suite": 7,  # largest n at which `check --suite method` compares methods
 }
 
+#: the refusal of a conversion through the character table past ``schur_degree``
+SCHUR_REFUSAL = "character-table conversion refused for degree {value} > {limit}"
+
 
 class FeasibilityError(RuntimeError):
     """A request exceeds the documented size bounds; refuse rather than thrash."""

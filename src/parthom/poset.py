@@ -30,11 +30,11 @@ The order relation is never stored.  The partitions above x are exactly
 those obtained by merging blocks of x, so :meth:`PosetView.above` lists
 them by grouping the blocks of x (one restricted-growth string per
 grouping) and looking each merge up in the view's index, which is keyed
-by the string.  Every chain count -- maximal chains and fixed maximal
-chains of rank-selected views, whose steps go to the next selected rank,
-and Moebius numbers and Lefschetz values of any view -- is the one dynamic
-program :func:`chain_sums`, which pushes values up these edges in rank
-order.
+by the string.  Two dynamic programs push values up these edges in rank
+order: :func:`maximal_chains` counts the maximal chains and fixed maximal
+chains of a rank-selected view, one selected rank at a time, and
+:func:`signed_chain_sum` gives the Moebius number and Lefschetz values of
+any view, over all edges.
 
 For a permutation the same lookups run on generated strings only:
 ``above(i, perm=...)`` looks up the groupings of the blocks of a fixed
@@ -119,12 +119,12 @@ class PosetView:
 
     # -- order structure --------------------------------------------------------
 
-    def above(self, i: int | None, ranks=None, perm=None) -> list[int]:
-        """Indices of the view elements above element *i* at the given
-        increasing ranks (default: every higher rank of the view), in
-        increasing order.  Each grouping of its k blocks into n - r groups
-        is one merge at rank r; the groupings come in lexicographic order,
-        and so do the strings they merge to, which is the view's order.
+    def above(self, i: int | None, rank: int | None = None, perm=None) -> list[int]:
+        """Indices of the view elements above element *i* at *rank* (default:
+        every higher rank of the view), in increasing order.  Each grouping
+        of its k blocks into n - r groups is one merge at rank r; the
+        groupings come in lexicographic order, and so do the strings they
+        merge to, which is the view's order.
         ``i=None`` is the bottom of the lattice, ``tuple(range(n))``, whose
         merges are all the strings of each rank.
 
@@ -133,8 +133,7 @@ class PosetView:
         permutation of the blocks that *perm* induces."""
         growth = tuple(range(self.n)) if i is None else self._strings[i]
         k = max(growth) + 1  # its block count, so its rank is n - k
-        if ranks is None:
-            ranks = [r for r in self._by_rank if r > self.n - k]
+        ranks = [r for r in self._by_rank if r > self.n - k] if rank is None else (rank,)
         moved = None
         if perm is not None:
             # block b goes to the block holding the image of its first item
@@ -150,12 +149,12 @@ class PosetView:
     def fixed_by(self, perm) -> dict[int, list[int]]:
         """Indices of the elements fixed (as partitions) by the permutation
         (images of 1..n), by rank: at each rank r the merges of the bottom
-        that *perm* fixes, ``above(None, [r], perm)``."""
+        that *perm* fixes, ``above(None, r, perm)``."""
         if len(perm) != self.n:
             raise ValueError("permutation degree does not match ground set")
         out = {}
         for r in self._by_rank:
-            if fixed := self.above(None, [r], perm):
+            if fixed := self.above(None, r, perm):
                 out[r] = fixed
         return out
 
@@ -175,60 +174,40 @@ class PosetView:
         return out
 
 
-def chain_sums(view: PosetView, perm=None, covers: bool = True) -> int:
-    """The one dynamic program over chains of kept elements, the view
-    elements fixed by *perm* (default: all of them), visited in rank order.
-    Values move only along edges between kept elements, which
-    :meth:`PosetView.above` generates as fixed merges, so the work follows
-    the number of kept elements.
-
-    With ``covers=True``: the number of maximal chains of a rank-selected
-    view made of kept elements.  The bottom of the lattice seeds 1 at its
-    kept merges at the lowest rank, ``view.above(None, [lowest], perm)``,
-    the only elements looked up; values add up along the edges to the next
-    selected rank, which reach only kept elements, and are summed at the
-    top rank.  Any other view raises :class:`ValueError`.
-    With ``covers=False``: the sum over chains of kept elements, the empty
-    one included, of (-1)^(length - 1), i.e. the reduced Euler
-    characteristic of their order complex, on any view.  The bottom, as
-    the empty chain, seeds -1 at every kept element; they are visited in
-    index order and values subtract along all edges.
-    """
-    if covers and not view.rank_selected:
+def maximal_chains(view: PosetView, perm=None) -> int:
+    """The number of maximal chains of a rank-selected view made of elements
+    that *perm* fixes (default: all of them); any other view raises
+    :class:`ValueError`.  The counts start at 1 on the fixed strings of the
+    lowest rank, ``view.above(None, lowest, perm)``, and are pushed up one
+    selected rank at a time along the fixed merges, which reach only fixed
+    elements."""
+    if not view.rank_selected:
         raise ValueError(f"maximal chains are counted on rank-selected views only, "
                          f"not on {view.describe()}")
-    m = len(view)
-    if not m:
-        return 1 if covers else -1
     ranks = view.ranks
-    if covers:
-        ends = m - len(view._by_rank[ranks[-1]])  # indices from it on: the top rank
-        step = {r: (s,) for r, s in zip(ranks, ranks[1:])}
-    kept = view.above(None, ranks[:1] if covers else None, perm)
-    strings = view._strings
-    pending = [0] * m
-    for i in kept:
-        pending[i] = 1 if covers else -1
-    total = 0 if covers else -1
-    # with covers, an element is appended when a merge first reaches it;
-    # each rank is reached only from the one below, so the list stays in
-    # rank order and every value is complete when its element is visited
-    for i in kept:
-        if covers:
-            value = pending[i]
-            if i >= ends:
-                total += value
-                continue
-            up = view.above(i, step[view.n - 1 - max(strings[i])], perm)
-        else:
-            value = -pending[i]
-            total += value
-            up = view.above(i, perm=perm)
-        for j in up:
-            if covers and not pending[j]:
-                kept.append(j)
-            pending[j] += value
-    return total
+    if not ranks:
+        return 1
+    counts = dict.fromkeys(view.above(None, ranks[0], perm), 1)
+    for r in ranks[1:]:
+        up: dict[int, int] = {}
+        for i, c in counts.items():
+            for j in view.above(i, r, perm):
+                up[j] = up.get(j, 0) + c
+        counts = up
+    return sum(counts.values())
+
+
+def signed_chain_sum(view: PosetView, perm=None) -> int:
+    """The sum over chains of elements that *perm* fixes (default: all of
+    them), the empty one included, of (-1)^(length - 1): the reduced Euler
+    characteristic of their order complex, on any view.  In index order,
+    which is rank order, each fixed element gets 1 minus the values of the
+    fixed elements below it, pushed along the fixed merges."""
+    t = dict.fromkeys(view.above(None, perm=perm), 1)
+    for i in t:
+        for j in view.above(i, perm=perm):
+            t[j] -= t[i]
+    return sum(t.values()) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,4 +281,4 @@ def fixed_chain_count(view: PosetView, cycle_type) -> int:
     """Number of maximal chains of the rank-selected view fixed pointwise by
     the canonical permutation of *cycle_type* (conjugacy makes the choice
     immaterial); any other view raises :class:`ValueError`."""
-    return chain_sums(view, canonical_permutation(check_partition(cycle_type), view.n))
+    return maximal_chains(view, canonical_permutation(check_partition(cycle_type), view.n))

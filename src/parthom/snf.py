@@ -11,18 +11,11 @@ invariant factor; the other pivots have every unit-pivot row cleared out of
 them by the unit pivots, which leaves a small residual matrix for
 :func:`invariant_factors`.
 
-:func:`invariant_factors` has two phases.  Phase 1 passes once over the
-columns, sparsest (by starting population) first.  A column that still
-holds an entry of absolute value 1 pivots there, in the sparsest row that
-has one, to limit fill-in: row operations clear the rest of the column,
-which keeps every entry an integer, and the pivot row is dropped as one
-unit invariant factor.  The leftover matrix, usually tiny, is diagonalized
-by the textbook method: pick a minimal-absolute-value pivot, Euclidean row
-and column steps until the pivot divides its row and column, then clear.
-Fill-in can create units in columns phase 1 had already passed, so phase 2
-may still meet them.  The phase-2 diagonal is finally normalized into a
-divisibility chain by pairwise gcd/lcm exchanges, which preserves the
-cokernel group, and the phase-1 units go in front.
+:func:`invariant_factors` diagonalizes that residual, usually empty and
+at most a few columns, by the textbook method: pick a minimal-absolute-value
+pivot, Euclidean row and column steps until the pivot divides its row and
+column, then clear.  The diagonal is finally normalized into a divisibility
+chain by pairwise gcd/lcm exchanges, which preserves the cokernel group.
 
 Everything runs over Python integers, so no overflow and no modular
 shortcuts; torsion comes out exactly.
@@ -103,10 +96,6 @@ class SparseIntMatrix:
             cur = self.rows.get(i, {}).get(target, 0)
             self._set(i, target, cur + factor * v)
 
-    def drop_row(self, i: int) -> None:
-        for j in list(self.rows.get(i, {})):
-            self._set(i, j, 0)
-
 
 def _min_entry(mat: SparseIntMatrix):
     best = None
@@ -122,24 +111,6 @@ def invariant_factors(mat: SparseIntMatrix) -> list[int]:
     """Invariant factors of an integer matrix (positive, each dividing the
     next); their count is the rank."""
     work = mat.copy()
-
-    # phase 1: once the column is cleared, column operations against it would
-    # clear the rest of the pivot row without touching anything else
-    units = 0
-    for j in sorted(work.cols, key=lambda c: len(work.cols[c])):
-        unit_rows = [i for i in work.cols.get(j, ()) if abs(work.rows[i][j]) == 1]
-        if not unit_rows:
-            continue
-        i = min(unit_rows, key=lambda r: len(work.rows[r]))
-        v = work.rows[i][j]
-        for i2 in list(work.cols[j]):
-            if i2 != i:
-                work.add_multiple_of_row(i2, i, -work.rows[i2][j] * v)  # v in {1, -1}
-        work.drop_row(i)
-        units += 1
-
-    # phase 2: textbook reduction of the residual, which may still hold units
-    # that fill-in created in columns phase 1 had passed
     factors: list[int] = []
     while work.rows:
         i, j, v = _min_entry(work)
@@ -171,7 +142,7 @@ def invariant_factors(mat: SparseIntMatrix) -> list[int]:
         factors.append(abs(v))
         work._set(i, j, 0)
 
-    return [1] * units + _divisibility_chain(factors)
+    return _divisibility_chain(factors)
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:

@@ -17,18 +17,19 @@ are reached by exact conversions:
 * Schur conversions pair powersum coefficients against symmetric group
   characters (see :mod:`parthom.chartable`), so no floating point and no
   determinants are involved.
-* Monomial conversions use Hall duality with ``h``: <h_lam, m_mu> is 1
-  when lam = mu and 0 otherwise, so the m_lam coefficient of f is
-  <f, h_lam>, and the p_mu coefficient of m_lam is the h_lam coefficient
-  of p_mu divided by z_mu.
+* The m_lam coefficient of p_mu counts the ways to put the parts of mu
+  into boxes with sums lam: the set partitions of the parts by block sum,
+  times the product of m_i(lam)!.  Back into powersums, Hall duality with
+  ``h`` (<h_lam, m_mu> is 1 when lam = mu and 0 otherwise) makes the p_mu
+  coefficient of m_lam the h_lam coefficient of p_mu divided by z_mu.
 
 The tables that are integer-valued are built over ``int``, and a
 ``Fraction`` appears only where a ``SymFunc`` is made from them:
 
 * ``_p_in(basis, mu)``, p_mu in the h, s or m basis (Newton's identities,
-  the character table and Hall duality all give integer coefficients); a
-  conversion out of powersums sums them over the common denominator of the
-  p coefficients and divides once per output term;
+  the character table and the count of boxes all give integer
+  coefficients); a conversion out of powersums sums them over the common
+  denominator of the p coefficients and divides once per output term;
 * ``_p_in_h_sum(lam, n)``, n! times the degree-n part of
   p_lam[h_1 + h_2 + ...]: its p_nu entry is the count N(nu, lam) of
   :mod:`parthom.reps` times z_lam n!/z_nu, an integer.
@@ -51,7 +52,7 @@ from math import comb, factorial, lcm
 from numbers import Rational
 
 from .chartable import character
-from .errors import ModuleCheckError, refuse_past
+from .errors import SCHUR_REFUSAL, refuse_past
 from .partitions import (
     canonical_sort_key,
     check_partition,
@@ -62,8 +63,6 @@ from .partitions import (
 BASES = ("p", "h", "e", "s", "m")
 
 Terms = dict  # partition tuple -> Fraction, or int in the integer tables
-
-_SCHUR_REFUSAL = "character-table conversion refused for degree {value} > {limit}"
 
 
 def _clean(terms) -> Terms:
@@ -147,11 +146,11 @@ def _in_p(basis: str, lam: tuple) -> tuple:
     n = sum(lam)
     if basis == "s":
         # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
-        refuse_past("schur_degree", n, _SCHUR_REFUSAL)
+        refuse_past("schur_degree", n, SCHUR_REFUSAL)
         pairs = ((mu, character(lam, mu)) for mu in partitions_of(n))
     else:
         # Hall duality: <m_lam, p_mu> is the h_lam coefficient of p_mu
-        pairs = _columns(_p_in, n).get(lam, ())
+        pairs = _h_columns(n).get(lam, ())
     return tuple((mu, Fraction(c, zee(mu))) for mu, c in pairs)
 
 
@@ -163,26 +162,31 @@ def _p_in(basis: str, mu: tuple) -> tuple:
     n = sum(mu)
     if basis == "s":
         # p_mu = sum over lam of chi^lam(mu) s_lam
-        refuse_past("schur_degree", n, _SCHUR_REFUSAL)
+        refuse_past("schur_degree", n, SCHUR_REFUSAL)
         return tuple((lam, chi) for lam in partitions_of(n) if (chi := character(lam, mu)))
-    # Hall duality: the m_lam coefficient is <p_mu, h_lam>, z_mu times the
-    # p_mu coefficient of h_lam, and must come out an integer
-    z = zee(mu)
-    pairs = [(lam, c * z) for lam, c in _columns(_in_p, n).get(mu, ())]
-    for lam, c in pairs:
-        if c.denominator != 1:
-            raise ModuleCheckError(f"m{lam} coefficient {c} of p{mu} is not an integer")
-    return tuple((lam, c.numerator) for lam, c in pairs)
+    # the m_lam coefficient counts the ways to put the parts of mu into boxes
+    # with sums lam.  The first part k goes into a new box or onto a box of
+    # size v of each way nu for the other parts, and each lam so made is
+    # reached from nu once for every box of lam of size v + k
+    if not mu:
+        return (((), 1),)
+    k, acc = mu[0], {}
+    for nu, c in _p_in("m", mu[1:]):
+        for v in {0, *nu}:
+            i = nu.index(v) if v else len(nu)
+            lam = tuple(sorted(nu[:i] + (v + k,) + nu[i + 1:], reverse=True))
+            acc[lam] = acc.get(lam, 0) + c * lam.count(v + k)
+    return tuple((lam, acc[lam]) for lam in partitions_of(n) if lam in acc)
 
 
 @lru_cache(maxsize=None)
-def _columns(table, n: int) -> dict:
-    """The h table ``table("h", row)`` of degree n transposed in one pass:
+def _h_columns(n: int) -> dict:
+    """The h table ``_p_in("h", row)`` of degree n transposed in one pass:
     each partition maps to its nonzero ``(row, coefficient)`` pairs, rows
     in the order of :func:`partitions_of`.  The m basis reads its rows here."""
     columns: dict = {}
     for row in partitions_of(n):
-        for key, c in table("h", row):
+        for key, c in _p_in("h", row):
             columns.setdefault(key, []).append((row, c))
     return {key: tuple(pairs) for key, pairs in columns.items()}
 
@@ -337,29 +341,6 @@ class SymFunc:
                 for lam, c in self.terms_sorted()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SymFunc":
-        terms = {
-            tuple(t["partition"]): Fraction(t["coeff"]) for t in data["terms"]
-        }
-        return cls(data["basis"], terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam, c in self.terms_sorted():
-            name = f"{self.basis}[{','.join(map(str, lam))}]" if lam else "1"
-            if c == 1 and lam:
-                bits.append(name)
-            elif c == -1 and lam:
-                bits.append(f"-{name}")
-            elif lam:
-                bits.append(f"{c}*{name}")
-            else:
-                bits.append(str(c))
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 def _d_dpk(pterms: Terms, k: int) -> Terms:

@@ -28,14 +28,15 @@ others and leave the invariant factors alone.  So no top-dimensional
 simplex is ever a column, and when every pivot is a unit, betti_d columns
 of delta_d reduce to zero: none below the top on the Cohen-Macaulay views
 (the rank selections of the lattice).  Only the non-unit pivots, with the
-unit-pivot rows cleared out of them, reach the Smith normal form.  A
-matrix and its transpose have the same invariant factors, so
+unit-pivot rows cleared out of them, reach the Smith normal form, which
+finishes them by one textbook elimination.  A matrix and its transpose
+have the same invariant factors, so
 betti_d = f_d - rank(bd_d) - rank(bd_{d+1}) and the torsion of H_d is the
 set of invariant factors of delta_d = bd_{d+1}^T exceeding 1.  The
 reduced Euler characteristic of the complex equals the Moebius number of
 the view with its virtual bounds adjoined, and that identity is
 cross-checkable against :func:`mobius_number`, which sums signed chains by
-the chain dynamic program without building the complex.
+:func:`~parthom.poset.signed_chain_sum` without building the complex.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import itemgetter
 
 from .errors import BOUNDS, ConcentrationError, FeasibilityError
 from .partitions import partitions_of
-from .poset import PosetView, chain_sums
+from .poset import PosetView, signed_chain_sum
 from .setparts import canonical_permutation
 from .snf import reduce_columns
 
@@ -247,9 +248,10 @@ def view_homology(view: PosetView) -> HomologyResult:
 
 def mobius_number(view: PosetView) -> int:
     """Moebius number of the view with virtual bounds adjoined, as the
-    alternating chain sum of :func:`chain_sums` (independently of the order
-    complex, whose f-vector gives the same number)."""
-    return chain_sums(view, covers=False)
+    alternating chain sum of :func:`~parthom.poset.signed_chain_sum`
+    (independently of the order complex, whose f-vector gives the same
+    number)."""
+    return signed_chain_sum(view)
 
 
 def lefschetz_class_function(view: PosetView):
@@ -267,7 +269,7 @@ def lefschetz_class_function(view: PosetView):
 
     n = view.n
     return ClassFunction(n, {
-        mu: chain_sums(view, canonical_permutation(mu, n), covers=False)
+        mu: signed_chain_sum(view, canonical_permutation(mu, n))
         for mu in partitions_of(n)})
 
 

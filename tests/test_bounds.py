@@ -63,7 +63,8 @@ def test_sf_refused_before_any_symmetric_function(capsys, monkeypatch, family, n
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(SymFunc, "__init__", counted)
-    code = main(["sf", "--family", family, "--n", str(n), "--k", "3", "--no-cache"])
+    k = ["--k", "3"] if family in ("whitehouse", "hook") else []
+    code = main(["sf", "--family", family, "--n", str(n), *k, "--no-cache"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: degree {degree} exceeds supported bound 16\n"

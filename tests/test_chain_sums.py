@@ -1,5 +1,5 @@
-"""Differential test: block-merge edges and the chain dynamic program
-against a brute-force oracle, on random small views.
+"""Differential test: block-merge edges and the two chain counts against a
+brute-force oracle, on random small views.
 
 Every relation in the oracle is a ``SetPartition.refines`` test on a pair
 of view elements, the pair scan that ``parthom.poset`` replaced, and every
@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parthom.partitions import partitions_of
-from parthom.poset import chain_sums, fixed_chain_count, parse_view, rank_selected_view
+from parthom.poset import (
+    fixed_chain_count,
+    maximal_chains,
+    parse_view,
+    rank_selected_view,
+    signed_chain_sum,
+)
 from parthom.reps import class_values
 from parthom.setparts import SetPartition, act, canonical_permutation, restricted_growth
 from parthom.topology import homology, lefschetz_class_function, mobius_number, order_complex
@@ -225,12 +231,12 @@ def test_view_order_and_chain_sums_match_refines_oracle(view, data):
     perm = tuple(data.draw(st.permutations(range(1, view.n + 1)), label="permutation"))
     fixed_chains, reduced_euler = check_fixed_part(view, perm, chains, below)
     if view.rank_selected:
-        assert chain_sums(view) == len(chains)
-        assert chain_sums(view, perm) == fixed_chains
+        assert maximal_chains(view) == len(chains)
+        assert maximal_chains(view, perm) == fixed_chains
     else:
         with pytest.raises(ValueError, match=view.describe()):
-            chain_sums(view, perm)
-    assert chain_sums(view, perm, covers=False) == reduced_euler
+            maximal_chains(view, perm)
+    assert signed_chain_sum(view, perm) == reduced_euler
     assert mobius_number(view) == oracle_reduced_euler(view.elements(), below)
     assert order_complex(view).f_vector() == oracle_f_vector(view)
 

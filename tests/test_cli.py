@@ -594,3 +594,81 @@ def test_out_file(tmp_path, capsys):
                     "--no-cache", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().strip().split("\n")[-1] == "4\t5"
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("sf --family lie --n 4 --k 3", "--k"),
+    ("sf --family reven --n 3 --k 2", "--k"),
+    ("table --family bS --n 5 --max-n 6", "--max-n"),
+    ("table --family euler --max-n 6 --n 5", "--n"),
+    ("table --family simsun --max-n 6 --n 5", "--n"),
+    ("table --family bi --max-n 6 --n 5", "--n"),
+    ("table --family ek --max-n 6 --n 5", "--n"),
+    ("report --family stability --ranks 2 --k 1 --max-n 6 --n 5", "--n"),
+    ("report --family qnk --n 5 --k 3 --ranks 1", "--ranks"),
+    ("report --family pnk --n 5 --k 3 --max-n 6", "--max-n"),
+    ("report --family le --n 5 --k 2 --ranks 1", "--ranks"),
+    ("report --family ne --n 5 --k 3 --max-n 6", "--max-n"),
+])
+def test_an_option_the_family_never_reads_exit_2(capsys, monkeypatch, argv, option):
+    # refused before any computation: no result is ever assembled
+    import parthom.cli as cli
+
+    monkeypatch.setattr(cli, "_RESULTS", {})
+    code = main([*argv.split(), "--no-cache"])
+    captured = capsys.readouterr()
+    command, _, family = argv.split()[:3]
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {command} --family {family} does not read {option}\n"
+
+
+def test_the_options_the_benchmark_passes_are_still_accepted(tmp_path, capsys):
+    code, out = run(capsys, "table", "--family", "bS", "--n", "4", "--jobs", "2",
+                    "--cache-dir", str(tmp_path), "--format", "tsv")
+    assert code == 0 and out
+    code, out = run(capsys, "check", "--suite", "conj-3.9", "--max-n", "4",
+                    "--cache-dir", str(tmp_path), "--no-cache", "--jobs", "2")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, degree", [
+    ("beta --n 16 --ranks 1-14 --basis s", 16),
+    ("alpha --n 15 --ranks 2 --basis s --mult trivial", 15),
+    ("sf --family reven --n 8 --basis s", 16),
+    ("sf --family whitehouse --n 15 --k 3 --basis s", 15),
+])
+def test_schur_conversion_refused_before_the_module(capsys, monkeypatch, argv, degree):
+    # no module of any family is computed
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("class_values", "lie_character", "even_block_characteristic"):
+        monkeypatch.setattr(reps, name, counted(getattr(reps, name)))
+    code = main([*argv.split(), "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: character-table conversion refused for degree {degree} > 14\n"
+    assert calls == []
+
+
+def test_pretty_form_is_read_off_the_payload():
+    from fractions import Fraction
+
+    from parthom.cli import _pretty_symfunc
+    from parthom.symfunc import SymFunc
+
+    cases = [
+        (SymFunc("h", {(2, 1): 1, (3,): -1, (1, 1, 1): Fraction(-3, 2), (): 5,
+                       (4,): Fraction(2, 3)}),
+         "5 - h[3] + h[2,1] - 3/2*h[1,1,1] + 2/3*h[4]"),
+        (SymFunc("p", {}), "0"),
+        (SymFunc("e", {(): -1, (1,): 1, (2,): -1}), "-1 + e[1] - e[2]"),
+        (SymFunc("m", {(): 1, (1, 1): Fraction(1, 2)}), "1 + 1/2*m[1,1]"),
+    ]
+    for f, text in cases:
+        assert _pretty_symfunc(json.loads(json.dumps(f.to_json_dict()))) == text

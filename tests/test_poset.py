@@ -6,7 +6,7 @@ import pytest
 
 from parthom.errors import FeasibilityError, parse_rank_set
 from parthom.partitions import multiplicities as part_mults
-from parthom.poset import chain_sums, fixed_chain_count, parse_view, rank_selected_view
+from parthom.poset import fixed_chain_count, maximal_chains, parse_view, rank_selected_view
 from parthom.setparts import SetPartition, act, canonical_permutation
 from test_chain_sums import oracle_maximal_chains, set_partitions
 
@@ -262,7 +262,7 @@ def test_maximal_chain_counts_full():
     for n in range(3, 8):
         v = parse_view(n, "full")
         expected = factorial(n) * factorial(n - 1) // 2 ** (n - 1)
-        assert chain_sums(v) == expected
+        assert maximal_chains(v) == expected
         if n <= 6:
             assert len(oracle_maximal_chains(v)) == expected
 
@@ -270,13 +270,13 @@ def test_maximal_chain_counts_full():
 def test_empty_rank_set_has_one_empty_chain():
     v = rank_selected_view(5, [])
     assert oracle_maximal_chains(v) == [()]
-    assert chain_sums(v) == 1
+    assert maximal_chains(v) == 1
 
 
 def test_single_rank_chains():
     v = rank_selected_view(5, [2])
     chains = oracle_maximal_chains(v)
-    assert len(chains) == 25 == chain_sums(v)
+    assert len(chains) == 25 == maximal_chains(v)
     assert all(len(c) == 1 for c in chains)
 
 
@@ -296,7 +296,7 @@ def test_fixed_chain_count_identity_is_total():
             if any(r > n - 2 for r in ranks):
                 continue
             v = rank_selected_view(n, ranks)
-            assert fixed_chain_count(v, (1,) * n) == chain_sums(v)
+            assert fixed_chain_count(v, (1,) * n) == maximal_chains(v)
 
 
 def test_fixed_chain_count_four_cycle():
@@ -376,7 +376,7 @@ def test_maximal_chain_counts_refuse_views_that_are_not_rank_selected():
         fixed_chain_count(q, (1,) * 5)
     le = parse_view(6, "le:k=2")
     with pytest.raises(ValueError, match=le.describe()):
-        chain_sums(le)
+        maximal_chains(le)
 
 
 def test_stirling_values():
