@@ -177,8 +177,15 @@ def _result_sf(args) -> dict:
 
 def _result_alpha_beta(args) -> dict:
     ranks = parse_rank_set(args.ranks)
-    if args.mult and args.n < 2:
-        raise ValueError(f"{args.command} --mult needs a ground size --n >= 2, got {args.n}")
+    names = None if args.mult is None else [name.strip() for name in args.mult.split(",")]
+    if names is not None:
+        for name in names:
+            if name not in ("trivial", "refl"):
+                raise ValueError(f"unknown multiplicity {name!r}")
+        if len(set(names)) < len(names):
+            raise ValueError(f"{args.command} --mult names a multiplicity twice: {args.mult!r}")
+        if args.n < 2:
+            raise ValueError(f"{args.command} --mult needs a ground size --n >= 2, got {args.n}")
     _refuse_degree(args.n, args.basis)
     homology = args.command == "beta"
     fn = reps.homology_characteristic if homology else reps.chain_characteristic
@@ -186,17 +193,11 @@ def _result_alpha_beta(args) -> dict:
     payload = _symfunc_payload(f, args.basis)
     payload["n"] = args.n
     payload["ranks"] = list(ranks)
-    if args.mult:
+    if names is not None:
         # paired from the class values of the printed module, by its own method
         values = reps.class_values(args.n, ranks, homology, args.method)
         pair = dict(zip(("trivial", "refl"), reps.trivial_multiplicities(args.n, values)))
-        row = {}
-        for name in args.mult.split(","):
-            name = name.strip()
-            if name not in pair:
-                raise ValueError(f"unknown multiplicity {name!r}")
-            row[name] = pair[name]
-        payload["multiplicities"] = row
+        payload["multiplicities"] = {name: pair[name] for name in names}
     return payload
 
 

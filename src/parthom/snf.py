@@ -1,5 +1,9 @@
 """Integer Smith normal form for sparse matrices.
 
+Every matrix here is a list of ``{row: value}`` columns holding nonzero
+entries only, and every elimination step is one :func:`_add_multiple`: a
+multiple of one such dict added into another.
+
 :func:`reduce_columns` takes a matrix as a stream of columns and reduces
 each against the pivots found so far, keyed by their "low" (largest) row.
 When the pivot's low entry divides the column's, a multiple of the pivot is
@@ -12,10 +16,11 @@ them by the unit pivots, which leaves a small residual matrix for
 :func:`invariant_factors`.
 
 :func:`invariant_factors` diagonalizes that residual, usually empty and
-at most a few columns, by the textbook method: pick a minimal-absolute-value
-pivot, Euclidean row and column steps until the pivot divides its row and
+at most a few columns, by the textbook method: pick a least-absolute-value
+pivot, Euclidean column and row steps until the pivot divides its row and
 column, then clear.  The diagonal is finally normalized into a divisibility
 chain by pairwise gcd/lcm exchanges, which preserves the cokernel group.
+It is also the test oracle that :func:`reduce_columns` is checked against.
 
 Everything runs over Python integers, so no overflow and no modular
 shortcuts; torsion comes out exactly.
@@ -23,131 +28,74 @@ shortcuts; torsion comes out exactly.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 
 class SparseIntMatrix:
-    """Dict-of-rows integer matrix with a column index."""
+    """Integer matrix with *nrows* rows, kept as a list of ``{row: value}``
+    column dicts of nonzero entries."""
 
-    __slots__ = ("nrows", "ncols", "rows", "cols")
+    __slots__ = ("nrows", "ncols", "columns")
 
-    def __init__(self, nrows: int, ncols: int):
+    def __init__(self, nrows: int, columns):
         self.nrows = nrows
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
-
-    @classmethod
-    def from_columns(cls, nrows: int, columns) -> "SparseIntMatrix":
-        """Build from an iterable of {row: value} column dicts."""
-        columns = list(columns)
-        mat = cls(nrows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                if v:
-                    mat.rows.setdefault(i, {})[j] = v
-                    mat.cols.setdefault(j, set()).add(i)
-        return mat
+        self.columns: list[dict[int, int]] = list(columns)
+        self.ncols = len(self.columns)
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
-
-    def entries(self):
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                yield i, j, v
-
-    def copy(self) -> "SparseIntMatrix":
-        out = SparseIntMatrix(self.nrows, self.ncols)
-        out.rows = {i: dict(r) for i, r in self.rows.items()}
-        out.cols = {j: set(s) for j, s in self.cols.items()}
-        return out
-
-    # -- mutation helpers used by the elimination ---------------------------
-
-    def _set(self, i: int, j: int, v: int) -> None:
-        if v:
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, set()).add(i)
-        else:
-            row = self.rows.get(i)
-            if row and j in row:
-                del row[j]
-                if not row:
-                    del self.rows[i]
-                col = self.cols[j]
-                col.discard(i)
-                if not col:
-                    del self.cols[j]
-
-    def add_multiple_of_row(self, target: int, source: int, factor: int) -> None:
-        if not factor:
-            return
-        for j, v in list(self.rows.get(source, {}).items()):
-            cur = self.rows.get(target, {}).get(j, 0)
-            self._set(target, j, cur + factor * v)
-
-    def add_multiple_of_col(self, target: int, source: int, factor: int) -> None:
-        if not factor:
-            return
-        for i in list(self.cols.get(source, ())):
-            v = self.rows[i][source]
-            cur = self.rows.get(i, {}).get(target, 0)
-            self._set(i, target, cur + factor * v)
-
-
-def _min_entry(mat: SparseIntMatrix):
-    best = None
-    for i, j, v in mat.entries():
-        if best is None or abs(v) < abs(best[2]):
-            best = (i, j, v)
-            if abs(v) == 1:
-                break
-    return best
+        return sum(map(len, self.columns))
 
 
 def invariant_factors(mat: SparseIntMatrix) -> list[int]:
     """Invariant factors of an integer matrix (positive, each dividing the
-    next); their count is the rank."""
-    work = mat.copy()
+    next); their count is the rank.  *mat* is left unchanged."""
+    work = [dict(col) for col in mat.columns if col]
     factors: list[int] = []
-    while work.rows:
-        i, j, v = _min_entry(work)
+    while work:
+        best = None
+        for entry in ((i, j, v) for j, col in enumerate(work) for i, v in col.items()):
+            if best is None or abs(entry[2]) < abs(best[2]):
+                best = entry
+                if abs(best[2]) == 1:
+                    break
+        i, j, v = best
+        pivot = work[j]
+        crossing = [col for col in work if i in col]
         touched = False
-        for i2 in list(work.cols.get(j, ())):
-            if i2 == i:
-                continue
-            w = work.rows[i2][j]
-            q = w // v
-            if q:
-                work.add_multiple_of_row(i2, i, -q)
+        # column steps: clear row i of the other columns
+        for col in crossing:
+            q = col[i] // v
+            if q and col is not pivot:
+                _add_multiple(col, pivot, -q)
                 touched = True
-        row = work.rows.get(i, {})
-        for j2 in list(row):
-            if j2 == j:
-                continue
-            w = row[j2]
-            q = w // v
+        # row steps: clear the other rows of the pivot column, in every
+        # column that still holds row i
+        holders = [col for col in crossing if i in col]
+        for i2 in [i2 for i2 in pivot if i2 != i]:
+            q = pivot[i2] // v
             if q:
-                work.add_multiple_of_col(j2, j, -q)
+                for col in holders:
+                    _add_multiple(col, {i2: col[i]}, -q)
                 touched = True
         if touched:
             # remainders may be smaller than |v|; reselect the pivot
+            if not all(crossing):
+                work = [col for col in work if col]
             continue
         # the pivot was a global minimum, so every other entry in its row and
         # column had |w| >= |v| and would have been touched; both are clear
-        if list(work.rows.get(i, {})) != [j] or set(work.cols.get(j, ())) != {i}:
+        if list(pivot) != [i] or len(holders) != 1:
             raise AssertionError("pivot row/column not cleared")
         factors.append(abs(v))
-        work._set(i, j, 0)
+        del work[j]
 
     return _divisibility_chain(factors)
 
 
 def _divisibility_chain(factors: list[int]) -> list[int]:
-    """Rearrange a diagonal into invariant factors via gcd/lcm exchanges."""
-    out = [f for f in factors if f]
+    """Rearrange a positive diagonal into invariant factors via gcd/lcm
+    exchanges; a unit divides everything and takes no part in them."""
+    out = [f for f in factors if f > 1]
     changed = True
     while changed:
         changed = False
@@ -157,7 +105,7 @@ def _divisibility_chain(factors: list[int]) -> list[int]:
                     g = gcd(out[a], out[b])
                     out[a], out[b] = g, out[a] // g * out[b]
                     changed = True
-    return sorted(out)
+    return [1] * (len(factors) - len(out)) + sorted(out)
 
 
 def reduce_columns(columns) -> tuple[list[int], set[int]]:
@@ -177,14 +125,15 @@ def reduce_columns(columns) -> tuple[list[int], set[int]]:
                 # the remainder is smaller than the pivot entry: a Euclidean step
                 pivots[low], col = col, pivot
     units = {low: col for low, col in pivots.items() if abs(col[low]) == 1}
-    residual = [_clear_unit_rows(col, units) for low, col in pivots.items() if low not in units]
-    rows = {i: r for r, i in enumerate(sorted({i for col in residual for i in col}))}
-    mat = SparseIntMatrix.from_columns(
-        len(rows), ({rows[i]: v for i, v in col.items()} for col in residual))
+    residual = [col for low, col in pivots.items() if low not in units]
+    if residual:
+        _clear_unit_rows(residual, units)
+    mat = SparseIntMatrix(len({i for col in residual for i in col}), residual)
     return [1] * len(units) + invariant_factors(mat), set(units)
 
 
 def _add_multiple(col: dict[int, int], source: dict[int, int], factor: int) -> None:
+    """col += factor * source, dropping the entries that cancel."""
     if not factor:
         return
     for i, v in source.items():
@@ -195,19 +144,15 @@ def _add_multiple(col: dict[int, int], source: dict[int, int], factor: int) -> N
             del col[i]
 
 
-def _clear_unit_rows(col: dict[int, int], units: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Subtract unit pivots from *col* until no unit-pivot row is left in it,
-    largest row first: a pivot only touches rows up to its own low."""
-    heap = [-i for i in col if i in units]
-    heapify(heap)
-    while heap:
-        i = -heappop(heap)
-        v = col.get(i)
-        if not v:
-            continue
+def _clear_unit_rows(columns: list[dict[int, int]], units: dict[int, dict[int, int]]) -> None:
+    """Subtract unit pivots from each column until no unit-pivot row is left
+    in it.  One pass over the unit rows, largest first: a pivot only touches
+    rows up to its own low, so a row once cleared stays clear, and no row
+    above the columns' largest is ever reached."""
+    top = max(map(max, columns))
+    for i in sorted((i for i in units if i <= top), reverse=True):
         unit = units[i]
-        for i2 in unit:
-            if i2 in units and i2 not in col:
-                heappush(heap, -i2)
-        _add_multiple(col, unit, -v * unit[i])  # unit[i] in {1, -1}
-    return col
+        for col in columns:
+            v = col.get(i)
+            if v:
+                _add_multiple(col, unit, -v * unit[i])  # unit[i] in {1, -1}

@@ -332,6 +332,24 @@ def test_mult_refused_below_ground_size_2(capsys):
             capsys.readouterr()
 
 
+@pytest.mark.parametrize("mult, message", [
+    ("", "unknown multiplicity ''"),
+    ("trivial,", "unknown multiplicity ''"),
+    ("trivial,trivial", "{} --mult names a multiplicity twice: 'trivial,trivial'"),
+    ("refl, trivial,refl", "{} --mult names a multiplicity twice: 'refl, trivial,refl'"),
+])
+def test_mult_with_an_empty_or_repeated_name_is_refused_before_the_module(
+        capsys, monkeypatch, mult, message):
+    calls = []
+    monkeypatch.setattr(reps, "class_values", lambda *args, **kwargs: calls.append(args))
+    for command in ("alpha", "beta"):
+        code = main([command, "--n", "6", "--ranks", "2,3", "--mult", mult, "--no-cache"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", (command, mult)
+        assert captured.err == f"error: {message.format(command)}\n"
+    assert calls == []
+
+
 def test_mult_by_chains_matches_the_recurrence_on_every_rank_set(capsys):
     # --mult pairs the class values of the printed module by its own method
     import parthom.reps as reps

@@ -19,7 +19,7 @@ def boundary_matrix(cc, d: int) -> SparseIntMatrix:
     """Oracle: bd_d as a matrix, built from the face-row tuples; rows index
     (d-1)-simplices, with the single augmentation row for d = 0."""
     nrows = len(cc.faces[d - 1]) if d else 1
-    return SparseIntMatrix.from_columns(nrows, map(_column, cc.faces[d]))
+    return SparseIntMatrix(nrows, map(_column, cc.faces[d]))
 
 
 def _column(face: tuple[int, ...]) -> dict[int, int]:
@@ -81,6 +81,24 @@ def test_matching_complex_of_7_torsion_pinned():
     assert hom == full_matrix_homology(cc)
 
 
+def test_matching_complex_of_9_passes_a_residual_of_several_columns(monkeypatch):
+    import parthom.snf as snf
+
+    widths = []
+    real = snf.invariant_factors
+
+    def recorded(mat):
+        widths.append(mat.ncols)
+        return real(mat)
+
+    monkeypatch.setattr(snf, "invariant_factors", recorded)
+    hom = homology(order_complex(parse_view(9, "le:k=2")))
+    assert hom.betti == {0: 0, 1: 0, 2: 42, 3: 70}
+    assert hom.torsion == {2: [3] * 8}
+    # the residual's own elimination, not only the unit pivots, finds the Z/3s
+    assert max(widths) > 1
+
+
 # ---------------------------------------------------------------------------
 # the reduction on its own
 
@@ -106,7 +124,7 @@ def column_sets(draw):
 def test_reduction_matches_invariant_factors(case):
     nrows, columns = case
     factors, units = reduce_columns(dict(col) for col in columns)
-    assert factors == invariant_factors(SparseIntMatrix.from_columns(nrows, columns))
+    assert factors == invariant_factors(SparseIntMatrix(nrows, columns))
     # each unit pivot is one unit factor; the residual may hold more
     assert len(units) <= factors.count(1)
     assert units <= set(range(nrows))
@@ -147,9 +165,9 @@ def test_clearing_keeps_the_invariant_factors(case):
                for a in range(n0) for b in range(n2))
     upper, lower = columns_of(Y, n2), columns_of(X, n1)
     factors2, units = reduce_columns(dict(col) for col in upper)
-    assert factors2 == invariant_factors(SparseIntMatrix.from_columns(n1, upper))
+    assert factors2 == invariant_factors(SparseIntMatrix(n1, upper))
     factors1, _ = reduce_columns(dict(col) for k, col in enumerate(lower) if k not in units)
-    assert factors1 == invariant_factors(SparseIntMatrix.from_columns(n0, lower))
+    assert factors1 == invariant_factors(SparseIntMatrix(n0, lower))
 
 
 @settings(max_examples=300, deadline=None)
@@ -165,9 +183,9 @@ def test_clearing_keeps_the_invariant_factors_in_the_dual_order(case):
     co_lower = [{i: v for i, v in enumerate(row) if v} for row in X]
     co_upper = [{b: v for b, v in enumerate(row) if v} for row in Y]
     factors1, units = reduce_columns(dict(col) for col in co_lower)
-    assert factors1 == invariant_factors(SparseIntMatrix.from_columns(n0, columns_of(X, n1)))
+    assert factors1 == invariant_factors(SparseIntMatrix(n0, columns_of(X, n1)))
     factors2, _ = reduce_columns(dict(col) for i, col in enumerate(co_upper) if i not in units)
-    assert factors2 == invariant_factors(SparseIntMatrix.from_columns(n1, columns_of(Y, n2)))
+    assert factors2 == invariant_factors(SparseIntMatrix(n1, columns_of(Y, n2)))
 
 
 def test_cohomology_order_builds_no_top_column(monkeypatch):

@@ -9,7 +9,7 @@ from parthom.errors import ConcentrationError, FeasibilityError
 from parthom.partitions import partitions_of
 from parthom.poset import PosetView, parse_view, rank_selected_view
 from parthom.reps import homology_characteristic, lie_character
-from parthom.snf import SparseIntMatrix, invariant_factors
+from parthom.snf import SparseIntMatrix, invariant_factors, reduce_columns
 from parthom.topology import (
     concentrated_character,
     homology,
@@ -18,20 +18,14 @@ from parthom.topology import (
     order_complex,
     view_homology,
 )
-from test_homology_reduction import boundary_matrix, reduced_euler
+from test_homology_reduction import boundary_matrix, columns_of, reduced_euler
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form on its own
 
 def mat(rows):
-    m = SparseIntMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                m.rows.setdefault(i, {})[j] = v
-                m.cols.setdefault(j, set()).add(i)
-    return m
+    return SparseIntMatrix(len(rows), columns_of(rows, len(rows[0]) if rows else 0))
 
 
 def test_snf_known_matrices():
@@ -93,7 +87,13 @@ def small_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_matrices())
 def test_snf_matches_determinantal_divisors(rows):
-    assert invariant_factors(mat(rows)) == determinantal_factors(rows)
+    expected = determinantal_factors(rows)
+    m = mat(rows)
+    assert invariant_factors(m) == expected
+    # the argument is left as it was, so the reduction can consume it next
+    assert m.columns == mat(rows).columns
+    factors, _ = reduce_columns(m.columns)
+    assert factors == expected
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +325,25 @@ def test_homology_result_json():
 # rational-rank oracle
 
 def rational_rank(mat):
-    """Row reduction over exact rationals, independent of the integer SNF."""
-    rows = [dict((j, Fraction(v)) for j, v in r.items()) for r in mat.rows.values()]
+    """Gaussian elimination of the columns over exact rationals, independent
+    of the integer SNF."""
+    vectors = [{i: Fraction(v) for i, v in col.items()} for col in mat.columns]
     rank = 0
-    while rows:
-        row = rows.pop()
-        if not row:
+    while vectors:
+        vector = vectors.pop()
+        if not vector:
             continue
         rank += 1
-        j, pivot = next(iter(row.items()))
-        for other in rows:
-            if j in other:
-                factor = other[j] / pivot
-                for jj, v in row.items():
-                    cur = other.get(jj, Fraction(0)) - factor * v
+        i, pivot = next(iter(vector.items()))
+        for other in vectors:
+            if i in other:
+                factor = other[i] / pivot
+                for ii, v in vector.items():
+                    cur = other.get(ii, Fraction(0)) - factor * v
                     if cur:
-                        other[jj] = cur
+                        other[ii] = cur
                     else:
-                        other.pop(jj, None)
+                        other.pop(ii, None)
     return rank
 
 
