@@ -7,7 +7,6 @@ mathematical claim, so suites can report rather than abort.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .classfunc import ClassFunction
@@ -26,7 +25,7 @@ from .reps import (
     simsun,
     whitehouse_module,
 )
-from .symfunc import SymFunc, homogeneous, positivity
+from .symfunc import SymFunc, positivity
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +266,12 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
     elif name == "orbit":
         for n in range(4, n_max + 1):
             alpha = chain_characteristic(n, range(1, n - 1))
-            dec = SymFunc("p", {})
-            for i in range(1, n // 2 + 1):
-                c = simsun(i, n)
-                if c:
-                    dec = dec + homogeneous([2] * i + [1] * (n - 2 * i)) * Fraction(c)
+            dec = SymFunc("h", {(2,) * i + (1,) * (n - 2 * i): simsun(i, n)
+                                for i in range(1, n // 2 + 1)})
             verdict.check(f"orbit decomposition at n={n}", alpha == dec, n=n)
     elif name == "even":
         for n in range(2, n_max + 1):
-            r = even_block_characteristic(n, validate=False)
+            r = even_block_characteristic(n)
             other = homology_characteristic(2 * n, range(2, 2 * n - 1, 2))
             verdict.check(f"even-block module agreement, 2n={2 * n}", r == other, n=n)
             cf = ClassFunction.from_characteristic(r)

@@ -6,9 +6,11 @@ and homology module characteristics of a rank selection), ``homology``
 number tables), ``check`` (verification suites) and ``report`` (subposet
 homology and stability reports).
 
-Every run is deterministic given its parameters; results are cached on
-disk keyed by command, canonical parameters and the package's sources, so
-a repeated invocation emits byte-identical output without recomputing.
+Every run is deterministic given its parameters; the result of every
+command, a ``check`` verdict included, is cached on disk keyed by command,
+canonical parameters and the package's sources, so a repeated invocation
+emits byte-identical output and exits with the same code without
+recomputing.
 Exit codes: 0 success, 1 failed verification (a JSON witness goes to
 stdout), 2 invalid input, 3 internal failure (a module check, a homology
 concentration or a Smith normal form invariant did not hold).
@@ -381,10 +383,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"{args.command} --family {args.family} does not read {option}")
         if args.out:
             _check_out(args.out)
-        cache_dir = None
-        # every command but check caches its payload
-        if args.command != "check" and not args.no_cache:
-            cache_dir = args.cache_dir or cache.default_cache_dir()
+        cache_dir = None if args.no_cache else args.cache_dir or cache.default_cache_dir()
         params = _cache_params(args)
         data = cache.load(cache_dir, args.command, params)
         if data is None:

@@ -60,10 +60,11 @@ def is_decimal(text: str) -> bool:
 
 
 def parse_rank_set(text: str) -> tuple[int, ...]:
-    """Parse comma lists with ranges: ``1-3,5`` -> (1, 2, 3, 5); ``-`` is empty.
-    Each rank is ASCII digits, with whitespace around it allowed."""
+    """Parse comma lists with ranges: ``1-3,5`` -> (1, 2, 3, 5); ``-``, and
+    nothing else, is empty.  Each rank is ASCII digits, with whitespace
+    around it allowed."""
     text = text.strip()
-    if not text or text == "-":
+    if text == "-":
         return ()
     out: set[int] = set()
     for chunk in text.split(","):

@@ -362,16 +362,8 @@ def _d_dpk(pterms: Terms, k: int) -> Terms:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _basis_elem(basis: str, spec, coeff=1) -> SymFunc:
-    return SymFunc(basis, {check_partition(spec): coeff})
-
-
 def powersum(spec, coeff=1) -> SymFunc:
-    return _basis_elem("p", spec, coeff)
-
-
-def homogeneous(spec, coeff=1) -> SymFunc:
-    return _basis_elem("h", spec, coeff)
+    return SymFunc("p", {check_partition(spec): coeff})
 
 
 # ---------------------------------------------------------------------------

@@ -273,15 +273,13 @@ def lefschetz_class_function(view: PosetView):
         for mu in partitions_of(n)})
 
 
-def concentrated_character(view: PosetView, hom: HomologyResult | None = None):
-    """Degree and character of the homology when it is free and lives in a
-    single degree; raises :class:`ConcentrationError` otherwise.
+def concentrated_character(view: PosetView, hom: HomologyResult):
+    """Degree and character of the view's homology *hom* when it is free and
+    lives in a single degree; raises :class:`ConcentrationError` otherwise.
 
     The character is the Lefschetz class function times (-1)^degree, and its
     dimension is checked against the Betti number.
     """
-    if hom is None:
-        hom = view_homology(view)
     degrees = hom.nonzero_degrees()
     if len(degrees) != 1:
         raise ConcentrationError(

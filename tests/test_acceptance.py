@@ -116,7 +116,7 @@ def test_07_even_block_module():
     agrees with the rank-selected recurrence, is supported on involutions,
     and its auxiliary numbers behave."""
     for n in (2, 3, 4):
-        assembled = even_block_characteristic(n, validate=False)
+        assembled = even_block_characteristic(n)
         independent = homology_characteristic(2 * n, range(2, 2 * n - 1, 2))
         assert assembled == independent, n
         cf = ClassFunction.from_characteristic(assembled)
@@ -125,7 +125,7 @@ def test_07_even_block_module():
         for i in range(2, n + 1):
             assert even_block_multiplicity(i, n) > 0, (i, n)
     for n in range(2, 7):
-        r = even_block_characteristic(n, validate=False)
+        r = even_block_characteristic(n)
         alt = SymFunc("p", {})
         for i in range(2, n + 1):
             c = ek_number(i, n)

@@ -245,7 +245,11 @@ def test_malformed_rank_sets_and_view_parameters_exit_2(capsys):
         (["beta", "--n", "6", "--ranks", ranks], f"malformed rank set {ranks!r}")
         for ranks in ("1-2-3", "1-", "1,,2", "1_0", "٢", "+1")
     ]
+    # '-' is the one spelling of the empty selection; an empty text is not
+    commands += [(["alpha", "--n", "5", "--ranks", ranks], "malformed rank set ''")
+                 for ranks in ("", " ")]
     commands += [
+        (["homology", "--n", "5", "--poset", "ranks:"], "malformed rank set ''"),
         (["homology", "--n", "6", "--poset", "ranks:1-"], "malformed rank set '1-'"),
         (["report", "--family", "stability", "--ranks", "1_0", "--k", "1", "--max-n", "5"],
          "malformed rank set '1_0'"),
@@ -423,6 +427,45 @@ def test_cache_round_trip(tmp_path, capsys):
             assert out1 == out2, (command, fmt)
             cached = list(cache_dir.rglob("*.json"))
             assert len(cached) == 1
+
+
+def test_sf_reven_runs_no_recurrence(capsys, monkeypatch):
+    expected = run(capsys, "sf", "--family", "reven", "--n", "6", "--no-cache")
+
+    def rerun(*args, **kwargs):
+        raise AssertionError("recurrence rerun")
+
+    monkeypatch.setattr(reps, "class_values", rerun)
+    monkeypatch.setattr(reps, "homology_characteristic", rerun)
+    assert run(capsys, "sf", "--family", "reven", "--n", "6", "--no-cache") == expected
+    assert expected[0] == 0
+
+
+def test_a_check_verdict_is_served_from_the_cache(tmp_path, capsys, monkeypatch):
+    import parthom.checks as checks
+
+    argv = ["check", "--suite", "conj-3.9", "--max-n", "6", "--cache-dir", str(tmp_path)]
+    stored = run(capsys, *argv)
+    assert stored[0] == 0 and len(list(tmp_path.rglob("*.json"))) == 1
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("verdict recomputed")
+
+    monkeypatch.setattr(checks, "conjecture_checks", recomputed)
+    assert run(capsys, *argv) == stored
+
+
+def test_a_stored_failing_verdict_exits_1_on_the_hit(tmp_path, capsys, monkeypatch):
+    import parthom.checks as checks
+
+    real = checks.simsun
+    monkeypatch.setattr(checks, "simsun", lambda i, n: 0 if (i, n) == (2, 4) else real(i, n))
+    argv = ["check", "--suite", "conj-3.9", "--max-n", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    stored = run(capsys, *argv)
+    assert stored[0] == 1 and not json.loads(stored[1])["passed"]
+    monkeypatch.setattr(checks, "simsun", real)
+    assert run(capsys, *argv) == stored
 
 
 def test_exact_answers_past_the_digit_limit_print_in_full(tmp_path, capsys):

@@ -229,7 +229,7 @@ def test_parse_view_refusals():
         *[(8, f"even-top:k={k}", ValueError, f"need 1 <= k <= n/2-1, got k={k}")
           for k in (0, 4)],
         *[(n, spec, FeasibilityError, f"ground set size {n} outside supported range 2..10")
-          for n in (-1, 0, 1) for spec in ("full", "ranks:")],
+          for n in (-1, 0, 1) for spec in ("full", "ranks:-")],
         (5, "ranks:4", ValueError, "rank 4 outside [1, 3] for ground size 5"),
         (5, "ranks:0,1", ValueError, "rank 0 outside [1, 3] for ground size 5"),
         (2, "ranks:1", ValueError, "rank 1 outside [1, 0] for ground size 2"),

@@ -303,15 +303,16 @@ def test_even_block_characteristic_smallest():
 
 
 def test_even_block_agrees_with_rank_selection():
-    for n in (2, 3, 4, 5):
-        r = even_block_characteristic(n, validate=False)
+    # every n that `sf --family reven` serves: 2n up to the degree bound 16
+    for n in range(2, 9):
+        r = even_block_characteristic(n)
         assert r == homology_characteristic(2 * n, range(2, 2 * n - 1, 2)), n
 
 
 def test_even_block_character_vanishes_off_involutions():
     # no Schur conversion involved, so the large degrees stay cheap
     for n in range(2, 8):
-        cf = ClassFunction.from_characteristic(even_block_characteristic(n, validate=False))
+        cf = ClassFunction.from_characteristic(even_block_characteristic(n))
         assert cf.supported_on_involutions(), n
 
 
@@ -326,7 +327,7 @@ def test_even_block_dimension_is_subposet_betti():
     from parthom.topology import view_homology
 
     for n in (2, 3):
-        r = even_block_characteristic(n, validate=False)
+        r = even_block_characteristic(n)
         hom = view_homology(parse_view(2 * n, "even"))
         assert hom.nonzero_degrees() == [n - 2]
         assert hom.betti[n - 2] == r.dimension()
@@ -334,7 +335,7 @@ def test_even_block_dimension_is_subposet_betti():
 
 def test_ek_numbers_nonnegative_and_identity():
     for n in range(2, 7):
-        r = even_block_characteristic(n, validate=False)
+        r = even_block_characteristic(n)
         total = SymFunc("p", {})
         for i in range(2, n + 1):
             c = ek_number(i, n)

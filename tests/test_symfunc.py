@@ -9,7 +9,6 @@ from parthom.chartable import character
 from parthom.partitions import check_partition, partitions_of, zee
 from parthom.symfunc import (
     SymFunc,
-    homogeneous as H,
     hook_schur,
     plethysm,
     plethysm_with_h_sum,
@@ -25,11 +24,15 @@ def elementary(spec, coeff=1) -> SymFunc:
     return SymFunc("e", {check_partition(spec): coeff})
 
 
+def homogeneous(spec, coeff=1) -> SymFunc:
+    return SymFunc("h", {check_partition(spec): coeff})
+
+
 def schur(spec, coeff=1) -> SymFunc:
     return SymFunc("s", {check_partition(spec): coeff})
 
 
-E, S = elementary, schur
+E, H, S = elementary, homogeneous, schur
 
 
 # ---------------------------------------------------------------------------

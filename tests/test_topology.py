@@ -285,14 +285,16 @@ def test_lefschetz_of_full_lattice_is_signed_top_homology():
 
 
 def test_concentrated_character_full_lattice():
-    d, chi = concentrated_character(parse_view(5, "full"))
+    view = parse_view(5, "full")
+    d, chi = concentrated_character(view, view_homology(view))
     assert d == 2
     assert chi.dimension() == 24
     assert chi.characteristic() == lie_character(5)
 
 
 def test_concentrated_character_antichain():
-    d, chi = concentrated_character(rank_selected_view(5, [1]))
+    view = rank_selected_view(5, [1])
+    d, chi = concentrated_character(view, view_homology(view))
     assert d == 0
     assert chi.dimension() == 9
 
@@ -303,7 +305,7 @@ def test_concentrated_character_rejects_spread():
     # the matching complex of 7 has torsion, which must also be rejected
     view = parse_view(7, "le:k=2")
     with pytest.raises(ConcentrationError):
-        concentrated_character(view)
+        concentrated_character(view, view_homology(view))
 
 
 def test_homology_agrees_with_recurrence_dimension():
