@@ -5,14 +5,16 @@ import the module you need, e.g. ``from parthom.reps import class_values``.
 The modules by concern:
 
 * :mod:`parthom.symfunc` -- exact symmetric function arithmetic (five bases,
-  plethysm, inner products, positivity certificates).
+  plethysm, inner products, a positivity check).
 * :mod:`parthom.poset` -- the refinement lattice of set partitions and its
   rank-selected, block-size-restricted and modular-deleted subposets.
 * :mod:`parthom.topology` -- order complexes, integer homology by
   boundary-column reduction with clearing, Moebius numbers, Lefschetz
-  class functions.
-* :mod:`parthom.reps` -- chain and homology module characteristics, the
-  plethystic recurrences, Euler/simsun numbers and relatives.
-* :mod:`parthom.checks` -- stability reports and conjecture checkers.
+  class values.
+* :mod:`parthom.reps` -- chain and homology modules as integer class
+  values and their characteristics, the plethystic recurrences,
+  Euler/simsun numbers and relatives.
+* :mod:`parthom.checks` -- stability and subposet reports and
+  conjecture checkers, each recording its assertions in one ``Verdict``.
 * :mod:`parthom.cli` -- the command-line front end.
 """

@@ -27,6 +27,7 @@ import sys
 from . import cache
 from .errors import (
     BLOCK_SIZE_FAMILIES,
+    CHAIN_REFUSAL,
     SCHUR_REFUSAL,
     ConcentrationError,
     FeasibilityError,
@@ -189,6 +190,8 @@ def _result_alpha_beta(args) -> dict:
         if args.n < 2:
             raise ValueError(f"{args.command} --mult needs a ground size --n >= 2, got {args.n}")
     _refuse_degree(args.n, args.basis)
+    if args.method == "chains":
+        refuse_past("chain_degree", args.n, CHAIN_REFUSAL)
     homology = args.command == "beta"
     fn = reps.homology_characteristic if homology else reps.chain_characteristic
     f = fn(args.n, ranks, method=args.method)
@@ -262,8 +265,7 @@ def _result_report(args) -> dict:
     if args.family == "stability":
         if not args.ranks or args.k is None or args.max_n is None:
             raise ValueError("stability report needs --ranks, --k and --max-n")
-        report = checks.stability_report(parse_rank_set(args.ranks), args.k, args.max_n)
-        return report.to_json_dict()
+        return checks.stability_report(parse_rank_set(args.ranks), args.k, args.max_n)
     if args.n is None or args.k is None:
         raise ValueError("subposet report needs --n and --k")
     return checks.subposet_homology_report(args.family, args.n, args.k)
@@ -405,9 +407,9 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    if args.command == "check" and not data.get("passed", True):
-        return 1
-    return 0
+    # a failed assertion exits 1, whether computed or served from the cache;
+    # a report that asserted nothing has "passed": null and exits 0
+    return 1 if data.get("passed") is False else 0
 
 
 if __name__ == "__main__":

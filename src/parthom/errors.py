@@ -16,6 +16,8 @@ BOUNDS = {
 
 #: the refusal of a conversion through the character table past ``schur_degree``
 SCHUR_REFUSAL = "character-table conversion refused for degree {value} > {limit}"
+#: the refusal of the chain method past ``chain_degree``
+CHAIN_REFUSAL = "chain path refused for n={value} > {limit}"
 
 
 class FeasibilityError(RuntimeError):

@@ -29,8 +29,7 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .chartable import character
-from .classfunc import ClassFunction
-from .errors import ModuleCheckError, rank_set, refuse_past
+from .errors import CHAIN_REFUSAL, ModuleCheckError, rank_set, refuse_past
 from .partitions import check_partition, partitions_of, zee
 from .symfunc import SymFunc, _p_in_h_sum, powersum
 
@@ -40,13 +39,13 @@ def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
 
     The empty rank set gives the trivial module h_n (a single empty chain).
     """
-    return _characteristic(n, class_values(n, ranks, method=method))
+    return characteristic(n, class_values(n, ranks, method=method))
 
 
 def homology_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
     """Frobenius characteristic of the action on the top homology of the
     rank-selected subposet (the beta module of the rank set)."""
-    return _characteristic(n, class_values(n, ranks, homology=True, method=method))
+    return characteristic(n, class_values(n, ranks, homology=True, method=method))
 
 
 def class_values(n: int, ranks, homology: bool = False,
@@ -67,7 +66,7 @@ def class_values(n: int, ranks, homology: bool = False,
     if method == "recurrence":
         return _recurrence(n, ranks, homology)
     if method == "chains":
-        refuse_past("chain_degree", n, "chain path refused for n={value} > {limit}")
+        refuse_past("chain_degree", n, CHAIN_REFUSAL)
         alpha = _fixed_chain_values
     elif method == "inclusion_exclusion":
         alpha = lambda m, subset: _recurrence(m, subset, False)
@@ -102,8 +101,10 @@ def _fixed_chain_values(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
 
 
-def _characteristic(n: int, values) -> SymFunc:
-    return ClassFunction(n, dict(zip(partitions_of(n), values))).characteristic()
+def characteristic(n: int, values) -> SymFunc:
+    """Frobenius characteristic of integer class values over
+    ``partitions_of(n)``: the sum of values[mu] p_mu / z_mu."""
+    return SymFunc("p", {mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values)})
 
 
 @lru_cache(maxsize=None)

@@ -429,32 +429,11 @@ def _p_in_h_sum(lam: tuple, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# positivity certificates and hook Schur functions
+# positivity and hook Schur functions
 
-class Positivity:
-    """Evidence for (non)positivity of a function in a given basis."""
-
-    def __init__(self, basis: str, coefficients: dict, nonnegative: bool, integral: bool):
-        self.basis = basis
-        self.coefficients = coefficients
-        self.nonnegative = nonnegative
-        self.integral = integral
-
-    @property
-    def ok(self) -> bool:
-        return self.nonnegative and self.integral
-
-
-def positivity(f: SymFunc, basis: str) -> Positivity:
-    """Report whether every coefficient of *f* in *basis* is a nonnegative
-    integer, returning the full coefficient vector as evidence."""
-    coeffs = f.in_basis(basis).terms
-    return Positivity(
-        basis=basis,
-        coefficients=dict(coeffs),
-        nonnegative=all(c >= 0 for c in coeffs.values()),
-        integral=all(c.denominator == 1 for c in coeffs.values()),
-    )
+def is_positive(f: SymFunc, basis: str) -> bool:
+    """True when every coefficient of *f* in *basis* is a nonnegative integer."""
+    return all(c >= 0 and c.denominator == 1 for c in f.in_basis(basis).terms.values())
 
 
 def hook_schur(n: int, k: int) -> SymFunc:

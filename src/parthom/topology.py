@@ -37,6 +37,11 @@ reduced Euler characteristic of the complex equals the Moebius number of
 the view with its virtual bounds adjoined, and that identity is
 cross-checkable against :func:`mobius_number`, which sums signed chains by
 :func:`~parthom.poset.signed_chain_sum` without building the complex.
+
+The Lefschetz trace of a view is a tuple of integer class values over
+``partitions_of(n)``, the identity class last, the one module type of
+every command; :func:`parthom.reps.characteristic` takes its Frobenius
+characteristic.
 """
 
 from __future__ import annotations
@@ -254,31 +259,27 @@ def mobius_number(view: PosetView) -> int:
     return signed_chain_sum(view)
 
 
-def lefschetz_class_function(view: PosetView):
-    """The :class:`~parthom.classfunc.ClassFunction` whose value at each
-    cycle type is the alternating sum over dimensions of the count of
-    simplices fixed pointwise, with the empty simplex contributing -1.
+def lefschetz_class_function(view: PosetView) -> tuple[int, ...]:
+    """Integer class values over ``partitions_of(n)``: at each cycle type,
+    the alternating sum over dimensions of the count of simplices fixed
+    pointwise, with the empty simplex contributing -1.
 
     Only chains of fixed elements are fixed pointwise, so the value at g is
     the reduced Euler characteristic of the order complex of the g-fixed
     subposet; by the Hopf trace formula the result equals the alternating
     sum of the homology characters.
     """
-    # imported here, so that a homology run loads no symmetric-function algebra
-    from .classfunc import ClassFunction
-
     n = view.n
-    return ClassFunction(n, {
-        mu: signed_chain_sum(view, canonical_permutation(mu, n))
-        for mu in partitions_of(n)})
+    return tuple(signed_chain_sum(view, canonical_permutation(mu, n)) for mu in partitions_of(n))
 
 
-def concentrated_character(view: PosetView, hom: HomologyResult):
-    """Degree and character of the view's homology *hom* when it is free and
-    lives in a single degree; raises :class:`ConcentrationError` otherwise.
+def concentrated_character(view: PosetView, hom: HomologyResult) -> tuple[int, tuple[int, ...]]:
+    """Degree and class values of the view's homology *hom* when it is free
+    and lives in a single degree; raises :class:`ConcentrationError` otherwise.
 
-    The character is the Lefschetz class function times (-1)^degree, and its
-    dimension is checked against the Betti number.
+    The class values are the Lefschetz class function times (-1)^degree, and
+    the dimension, the value at the identity (the last class of
+    ``partitions_of``), is checked against the Betti number.
     """
     degrees = hom.nonzero_degrees()
     if len(degrees) != 1:
@@ -290,11 +291,10 @@ def concentrated_character(view: PosetView, hom: HomologyResult):
         raise ConcentrationError(
             f"homology of {view.describe()} has torsion {hom.torsion[d]} in degree {d}"
         )
-    lef = lefschetz_class_function(view)
-    chi = lef if d % 2 == 0 else lef * -1
-    if chi.dimension() != hom.betti[d]:
+    sign = -1 if d % 2 else 1
+    values = tuple(sign * v for v in lefschetz_class_function(view))
+    if values[-1] != hom.betti[d]:
         raise ConcentrationError(
-            f"Lefschetz dimension {chi.dimension()} != betti {hom.betti[d]} for {view.describe()}"
+            f"Lefschetz dimension {values[-1]} != betti {hom.betti[d]} for {view.describe()}"
         )
-    return d, chi
-
+    return d, values

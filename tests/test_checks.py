@@ -1,10 +1,12 @@
 import pytest
 
 from parthom.checks import (
+    Verdict,
     conjecture_checks,
     stability_report,
     subposet_homology_report,
 )
+from parthom.errors import BLOCK_SIZE_FAMILIES
 from parthom.reps import multiplicities
 
 
@@ -58,29 +60,34 @@ def test_hh_corrected_late_gap_family_at_degree_8():
 
 def test_stability_report_structure():
     rep = stability_report((2,), 1, 8)
-    assert rep.passed
-    ns = [row["n"] for row in rep.rows]
+    ns = [row["n"] for row in rep["rows"]]
     assert ns == list(range(4, 9))
-    assert rep.onsets["a"] <= 4
-    assert rep.onsets["a_prime"] <= 5
-    data = rep.to_json_dict()
-    assert data["passed"] and data["failures"] == []
+    assert rep["onsets"]["a"] <= 4
+    assert rep["onsets"]["a_prime"] <= 5
+    assert rep["passed"] is True and rep["failures"] == []
 
 
 def test_stability_known_constant_columns():
     # a single bottom rank has one chain orbit at every ground size
-    rep = stability_report((1,), 0, 9)
-    assert [row["a"] for row in rep.rows] == [1] * len(rep.rows)
+    rows = stability_report((1,), 0, 9)["rows"]
+    assert [row["a"] for row in rows] == [1] * len(rows)
     # the trivial multiplicity of the single-rank-2 selection settles by 4
     rep = stability_report((2,), 0, 9)
-    bs = {row["n"]: row["b"] for row in rep.rows}
+    bs = {row["n"]: row["b"] for row in rep["rows"]}
     assert len({bs[n] for n in range(4, 10)}) == 1
 
 
-def test_stability_identities_hold_along_the_way():
-    rep = stability_report((2, 3), 2, 9)
-    assert rep.passed
-    names = {a["name"] for a in rep.assertions}
+def test_stability_identities_hold_along_the_way(monkeypatch):
+    # the payload lists only failures, so record every check made
+    names = set()
+    check = Verdict.check
+
+    def recorded(self, name, passed, **witness):
+        names.add(name)
+        check(self, name, passed, **witness)
+
+    monkeypatch.setattr(Verdict, "check", recorded)
+    assert stability_report((2, 3), 2, 9)["passed"] is True
     assert "a({1} u (S+1), n+1) == a'(S, n)" in names
     assert "b'(S, n) == b({1} u (S+1), n+1) + b(S+1, n+1)" in names
     assert "b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)" in names
@@ -100,16 +107,17 @@ def test_subposet_report_whitehouse_match():
 
 def test_subposet_report_block_bound_with_no_prediction():
     rep = subposet_homology_report("le", 7, 2)
-    assert rep["passed"]
+    # nothing is predicted, so nothing is asserted and nothing passes
+    assert rep["passed"] is None and rep["assertions"] == []
     assert rep["homology"]["torsion"] == {"1": [3]}
-    assert rep["notes"]
+    assert rep["notes"][-1] == "nothing asserted: the report neither passes nor fails"
 
 
 def test_subposet_report_no_size_k_boundary_case():
     # n = 2k is a boundary where the Euler characteristics of the two views
     # already differ; the report exposes both and asserts nothing
     rep = subposet_homology_report("ne", 6, 3)
-    assert rep["passed"]
+    assert rep["passed"] is None
     assert rep["assertions"] == []
     assert rep["homology"]["betti"]["2"] == 80
     assert rep["modular_deletion_homology"]["betti"]["2"] == 120
@@ -146,6 +154,26 @@ def test_every_predicted_module_holds_up_to_n_6():
     assert {("le", 4, 3), ("le", 5, 4), ("le", 6, 5)} <= set(cases)
     failed = [case for case in cases if not subposet_homology_report(*case)["passed"]]
     assert failed == []
+
+
+def test_no_report_passes_by_asserting_nothing():
+    # every report of the block-size families for n = 3..6 and every legal k
+    reports = {}
+    for family in BLOCK_SIZE_FAMILIES:
+        for n in range(3, 7):
+            for k in range(n + 2):
+                try:
+                    reports[family, n, k] = subposet_homology_report(family, n, k)
+                except ValueError:
+                    continue  # k outside the family's range
+    assert len(reports) == 40
+    empty = {case for case, rep in reports.items() if not rep["assertions"]}
+    assert empty == {("le", 4, 2), ("le", 5, 2), ("le", 6, 2), ("ne", 3, 2), ("ne", 4, 2),
+                     ("ne", 6, 2), ("ne", 6, 3)}
+    for case, rep in reports.items():
+        assert rep["passed"] is (None if case in empty else True), case
+        if case in empty:
+            assert rep["notes"][-1] == "nothing asserted: the report neither passes nor fails"
 
 
 def test_subposet_report_invalid_family():

@@ -468,6 +468,33 @@ def test_a_stored_failing_verdict_exits_1_on_the_hit(tmp_path, capsys, monkeypat
     assert run(capsys, *argv) == stored
 
 
+def test_a_failed_report_exits_1_cold_and_on_the_hit(tmp_path, capsys, monkeypatch):
+    import parthom.checks as checks
+
+    real = checks._predicted_module
+    monkeypatch.setattr(checks, "_predicted_module", lambda family, n, k: (
+        (n - 4, reps.whitehouse_module(6, 2)) if family == "qnk" else real(family, n, k)))
+    argv = ["report", "--family", "qnk", "--n", "6", "--k", "3", "--format", "json"]
+    cold = run(capsys, *argv, "--no-cache")
+    assert cold[0] == 1 and json.loads(cold[1])["passed"] is False
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == cold
+
+    def forbidden(*args):
+        raise AssertionError("a cached report was recomputed")
+
+    monkeypatch.setattr(checks, "subposet_homology_report", forbidden)
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == cold
+
+
+def test_a_report_that_asserts_nothing_exits_0_with_no_verdict(tmp_path, capsys):
+    argv = ["report", "--family", "ne", "--n", "6", "--k", "3", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    stored = run(capsys, *argv)
+    data = json.loads(stored[1])
+    assert stored[0] == 0 and data["passed"] is None and data["assertions"] == []
+    assert run(capsys, *argv) == stored
+
+
 def test_exact_answers_past_the_digit_limit_print_in_full(tmp_path, capsys):
     # E_1660 is the first zigzag number with 4300 digits, the interpreter's
     # default limit for converting an int to a string and back

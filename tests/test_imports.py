@@ -82,7 +82,7 @@ print(json.dumps({"code": code, "modules": modules}))
 
 START = {"cli", "cache", "errors"}
 SYMFUNC = START | {"symfunc", "chartable", "partitions"}
-RECURRENCE = SYMFUNC | {"reps", "classfunc"}
+RECURRENCE = SYMFUNC | {"reps"}
 POSET = {"poset", "setparts", "partitions"}
 CHAINS = RECURRENCE | POSET
 HOMOLOGY = START | POSET | {"topology", "snf"}
@@ -128,11 +128,20 @@ def test_cache_hit_executes_only_what_renders_it(tmp_path, fmt, expected):
     (["report", "--family", "stability", "--ranks", "1", "--k", "2", "--max-n", "5"],
      RECURRENCE | {"checks"}),
     (["check", "--suite", "method", "--max-n", "4"], CHAINS | {"checks"}),
+    (["check", "--suite", "even", "--max-n", "3"], RECURRENCE | {"checks"}),
+    (["report", "--family", "qnk", "--n", "5", "--k", "3"], HOMOLOGY | RECURRENCE | {"checks"}),
 ], ids=["homology", "beta", "alpha", "alpha-chains", "sf", "table", "report-stability",
-        "check-method"])
+        "check-method", "check-even", "report-qnk"])
 def test_each_command_executes_only_the_modules_it_runs(argv, expected):
     code, modules = probe(*argv, "--no-cache", "--format", "json")
     assert code == 0 and executed(modules) == expected
+
+
+def test_the_chain_method_is_refused_before_any_library_module():
+    # the chains workload's refusal probe
+    code, modules = probe("alpha", "--n", "9", "--ranks", "1-7", "--method", "chains",
+                          "--no-cache")
+    assert code == 2 and executed(modules) == START
 
 
 def test_a_view_refused_by_its_size_loads_no_topology():

@@ -11,8 +11,8 @@ from parthom.symfunc import (
     SymFunc,
     hook_schur,
     plethysm,
+    is_positive,
     plethysm_with_h_sum,
-    positivity,
     powersum as P,
 )
 
@@ -291,19 +291,24 @@ def test_d_dp1():
 # positivity and hooks
 
 def test_positivity_h2e2():
+    # integral but negative in h
     f = H(2) * E(2)
     assert f.in_basis("h") == H([2, 1, 1]) - H([2, 2])
-    cert_h = positivity(f, "h")
-    assert not cert_h.ok and cert_h.integral and not cert_h.nonnegative
+    assert not is_positive(f, "h")
     # Pieri: adding a horizontal 2-strip to the column (1,1) gives exactly
     # the shapes (3,1) and (2,1,1)
     assert f.in_basis("s") == S([3, 1]) + S([2, 1, 1])
-    assert positivity(f, "s").ok
+    assert is_positive(f, "s")
+
+
+def test_positivity_of_a_fraction():
+    # nonnegative but not integral in h
+    assert not is_positive(H(2) * Fraction(1, 2), "h")
+    assert is_positive(H(2) * 2, "h")
 
 
 def test_positivity_of_zero():
-    cert = positivity(SymFunc("p", {}), "h")
-    assert cert.ok and cert.coefficients == {}
+    assert is_positive(SymFunc("p", {}), "h")
 
 
 def test_hook_schur_examples():
