@@ -27,7 +27,6 @@ from .reps import (
     simsun,
     whitehouse_module,
 )
-from .symfunc import SymFunc, is_positive
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +191,10 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
 # conjecture and theorem checkers
 
 def _check_even_top_h_positive(verdict: Verdict, n: int, k: int) -> None:
+    # imported here and in the orbit suite, so that the other checks load
+    # no symfunc
+    from .symfunc import is_positive
+
     ranks = tuple(range(2 * n - 2 * k, 2 * n - 1, 2))
     ok = is_positive(homology_characteristic(2 * n, ranks), "h")
     verdict.check(
@@ -254,6 +257,8 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
                 n=n, total=total_bp, expected=euler_number(n),
             )
     elif name == "orbit":
+        from .symfunc import SymFunc
+
         for n in range(4, n_max + 1):
             alpha = chain_characteristic(n, range(1, n - 1))
             dec = SymFunc("h", {(2,) * i + (1,) * (n - 2 * i): simsun(i, n)

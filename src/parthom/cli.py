@@ -34,6 +34,7 @@ from .errors import (
     ModuleCheckError,
     is_decimal,
     parse_rank_set,
+    refuse_ground,
     refuse_past,
 )
 
@@ -207,7 +208,8 @@ def _result_alpha_beta(args) -> dict:
 
 
 def _result_homology(args) -> dict:
-    # a view refused by its size never loads the topology
+    # a view refused by its size loads no library module
+    refuse_ground(args.n)
     view = poset.parse_view(args.n, args.poset)
     return topology.view_homology(view).to_json_dict()
 
@@ -268,6 +270,7 @@ def _result_report(args) -> dict:
         return checks.stability_report(parse_rank_set(args.ranks), args.k, args.max_n)
     if args.n is None or args.k is None:
         raise ValueError("subposet report needs --n and --k")
+    refuse_ground(args.n)
     return checks.subposet_homology_report(args.family, args.n, args.k)
 
 

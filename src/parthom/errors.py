@@ -18,6 +18,8 @@ BOUNDS = {
 SCHUR_REFUSAL = "character-table conversion refused for degree {value} > {limit}"
 #: the refusal of the chain method past ``chain_degree``
 CHAIN_REFUSAL = "chain path refused for n={value} > {limit}"
+#: the refusal of a poset view whose ground set size is outside 2..``ground``
+GROUND_REFUSAL = "ground set size {value} outside supported range 2..{limit}"
 
 
 class FeasibilityError(RuntimeError):
@@ -32,6 +34,13 @@ def refuse_past(
     limit = BOUNDS[bound]
     if value > limit:
         raise FeasibilityError(message.format(bound=bound, value=value, limit=limit))
+
+
+def refuse_ground(n: int) -> None:
+    """Refuse a poset view on n points unless 2 <= n <= ``BOUNDS["ground"]``."""
+    if n < 2:
+        raise FeasibilityError(GROUND_REFUSAL.format(value=n, limit=BOUNDS["ground"]))
+    refuse_past("ground", n, GROUND_REFUSAL)
 
 
 class ModuleCheckError(RuntimeError):

@@ -50,15 +50,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import itemgetter
 
-from .errors import (
-    BLOCK_SIZE_FAMILIES,
-    BOUNDS,
-    FeasibilityError,
-    is_decimal,
-    parse_rank_set,
-    rank_set,
-    refuse_past,
-)
+from .errors import BLOCK_SIZE_FAMILIES, is_decimal, parse_rank_set, rank_set, refuse_ground
 from .partitions import check_partition
 from .setparts import SetPartition, canonical_permutation, from_growth, growth_table
 
@@ -71,10 +63,7 @@ class PosetView:
     __slots__ = ("n", "spec", "rank_selected", "_by_rank", "_strings", "_index", "_elements")
 
     def __init__(self, n: int, spec: str, candidate_ranks, predicate=None):
-        message = "ground set size {value} outside supported range 2..{limit}"
-        if n < 2:
-            raise FeasibilityError(message.format(value=n, limit=BOUNDS["ground"]))
-        refuse_past("ground", n, message)
+        refuse_ground(n)
         by_rank: dict[int, tuple[tuple[int, ...], ...]] = {}
         for r in sorted(candidate_ranks):
             table = growth_table(n, n - r)

@@ -7,8 +7,8 @@ cross-checked in the tests:
   maximal chains fixed by one permutation per cycle type, and applies the
   Frobenius characteristic;
 * the *recurrence* path peels the lowest selected rank with a plethysm
-  into the sum h_1 + h_2 + ... restricted to the right degree, carried out
-  on integer class values.
+  into h_1 + h_2 + ... in the right degree, on integer class values: a
+  product with the count N of the set partitions fixed by each permutation.
 
 On top of these sit the classical numbers attached to the lattice: Euler
 (zigzag) numbers, the simsun multiplicities decomposing the chain action
@@ -17,21 +17,25 @@ most two, the coefficients of the even-block-count homology, and the
 (generalised) Whitehouse modules of the modular-deletion subposets.  The
 even-block characteristic is assembled from its coefficients alone;
 ``check --suite even`` checks it against the recurrence.
+
+Only the four functions that build a symmetric function import
+:mod:`parthom.symfunc`; the class values never need it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, groupby, product
 from math import comb, factorial
 from operator import mul, sub
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .chartable import character
 from .errors import CHAIN_REFUSAL, ModuleCheckError, rank_set, refuse_past
 from .partitions import check_partition, partitions_of, zee
-from .symfunc import SymFunc, _p_in_h_sum, powersum
+
+if TYPE_CHECKING:
+    from .symfunc import SymFunc
 
 def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
     """Frobenius characteristic of the symmetric group action on the maximal
@@ -104,6 +108,10 @@ def _fixed_chain_values(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
 def characteristic(n: int, values) -> SymFunc:
     """Frobenius characteristic of integer class values over
     ``partitions_of(n)``: the sum of values[mu] p_mu / z_mu."""
+    from fractions import Fraction
+
+    from .symfunc import SymFunc
+
     return SymFunc("p", {mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values)})
 
 
@@ -127,21 +135,35 @@ def _fixed_partition_counts(n: int, m: int) -> tuple[tuple[tuple[int, int], ...]
     """Sparse rows of N_{n,m}, as (index of lam, N(nu, lam)) pairs per nu:
     N(nu, lam) counts the partitions of [n] into m blocks fixed by a
     permutation of type nu that permutes their blocks with type lam.  It
-    maps class values of f to those of f[h_1 + h_2 + ...] in degree n, so
-    it is z_nu / z_lam times the p_nu coefficient of p_lam[h_1 + h_2 + ...],
-    read off the integer table n! [p_nu] of ``_p_in_h_sum``."""
-    index = {nu: i for i, nu in enumerate(partitions_of(n))}
-    rows: list[list[tuple[int, int]]] = [[] for _ in index]
-    for j, lam in enumerate(partitions_of(m)):
-        den = factorial(n) * zee(lam)
-        for nu, c in _p_in_h_sum(lam, n):
-            count, remainder = divmod(c * zee(nu), den)
-            if remainder:
-                raise ModuleCheckError(
-                    f"N_{n},{m}({nu}, {lam}) = {c * zee(nu)}/{den} is not an integer"
-                )
-            rows[index[nu]].append((j, count))
-    return tuple(tuple(row) for row in rows)
+    maps class values of f to those of f[h_1 + h_2 + ...] in degree n."""
+    index = {sum(1 << 16 * part for part in lam): j for j, lam in enumerate(partitions_of(m))}
+    return tuple(tuple(sorted((index[lam], c) for lam, c in _block_orbit_counts(nu)[m]))
+                 for nu in partitions_of(n))
+
+
+@lru_cache(maxsize=None)
+def _block_orbit_counts(nu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Layer s: every nonzero (lam, N(nu, lam)) with lam of size s, packed in
+    one int that holds the multiplicity of each part j in bits 16j up.  Walk
+    the cycles of nu, largest first: the block orbit of the first, of length
+    c, has j blocks for some j | c, and takes k of the m other cycles of one
+    length that j divides, each in one of j phases, in C(m, k) j^k ways."""
+    if not nu:
+        return (((0, 1),),)
+    groups = [(part, len(tuple(run))) for part, run in groupby(nu[1:])]
+    layers: list[dict[int, int]] = [{} for _ in range(sum(nu) + 1)]
+    for j in (j for j in range(1, nu[0] + 1) if nu[0] % j == 0):
+        options = [[(comb(m, k) * j**k, (part,) * (m - k)) for k in range(m + 1)]
+                   if part % j == 0 else [(1, (part,) * m)] for part, m in groups]
+        for choice in product(*options):
+            ways, left, part_j = 1, (), 1 << 16 * j
+            for w, cycles in choice:
+                ways, left = ways * w, left + cycles
+            # the cycles left over recurse, and j joins lam
+            for counts, layer in zip(layers[j:], _block_orbit_counts(left)):
+                for lam, count in layer:
+                    counts[lam + part_j] = counts.get(lam + part_j, 0) + ways * count
+    return tuple(tuple(counts.items()) for counts in layers)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +191,10 @@ def lie_character(n: int) -> SymFunc:
     """Characteristic of the top homology of the full proper part: the sign
     twist of the induction of a faithful character of the cyclic group of
     order n, i.e. omega of (1/n) sum over d | n of moebius(d) p_d^(n/d)."""
+    from fractions import Fraction
+
+    from .symfunc import SymFunc
+
     if n < 1:
         raise ValueError("n must be positive")
     terms = {}
@@ -304,6 +330,8 @@ def even_block_characteristic(n: int) -> SymFunc:
     lattice on 2n points, sum_i b_i(n) h_2^i h_1^(2n-2i).  ``check --suite
     even`` compares it with the homology module of the even rank selection
     computed by the plethystic recurrence."""
+    from .symfunc import SymFunc
+
     if n < 2:
         raise ValueError("need n >= 2")
     return SymFunc("h", {(2,) * i + (1,) * (2 * n - 2 * i): even_block_multiplicity(i, n)
@@ -321,4 +349,6 @@ def whitehouse_module(n: int, k: int) -> SymFunc:
     """
     if not 2 <= k <= n - 1:
         raise ValueError(f"need 2 <= k <= n-1, got n={n}, k={k}")
+    from .symfunc import powersum
+
     return lie_character(k) * powersum((1,) * (n - k)) - lie_character(n)

@@ -23,18 +23,16 @@ are reached by exact conversions:
   ``h`` (<h_lam, m_mu> is 1 when lam = mu and 0 otherwise) makes the p_mu
   coefficient of m_lam the h_lam coefficient of p_mu divided by z_mu.
 
-The tables that are integer-valued are built over ``int``, and a
-``Fraction`` appears only where a ``SymFunc`` is made from them:
+The tables ``_p_in(basis, mu)``, p_mu in the h, s or m basis, are built
+over ``int`` (Newton's identities, the character table and the count of
+boxes all give integer coefficients).  A conversion out of powersums
+sums them over the common denominator of the p coefficients and divides
+once per output term, the only place a ``Fraction`` is made from them.
 
-* ``_p_in(basis, mu)``, p_mu in the h, s or m basis (Newton's identities,
-  the character table and the count of boxes all give integer
-  coefficients); a conversion out of powersums sums them over the common
-  denominator of the p coefficients and divides once per output term;
-* ``_p_in_h_sum(lam, n)``, n! times the degree-n part of
-  p_lam[h_1 + h_2 + ...]: its p_nu entry is the count N(nu, lam) of
-  :mod:`parthom.reps` times z_lam n!/z_nu, an integer.
-  ``plethysm_with_h_sum`` divides by n!, and the integer class-value
-  recurrence reads the table as it is.
+``plethysm`` is the one plethysm: ``plethysm_with_h_sum``, the degree-n
+part of f[h_1 + h_2 + ...], is the degree-n part of ``plethysm`` into
+h_1 + ... + h_n.  The class-value recurrence of :mod:`parthom.reps`
+counts the matrix of that map itself, without this module.
 
 Coefficients must be rational: a float (whose binary expansion
 ``Fraction`` would keep) is refused with ``TypeError``.
@@ -48,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from numbers import Rational
 
 from .chartable import character
@@ -402,30 +400,11 @@ def plethysm(f: SymFunc, g: SymFunc, max_degree: int) -> SymFunc:
 
 
 def plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
-    """Degree-n component of f[h_1 + h_2 + ...]: linear in f, so each
-    powersum monomial c p_lam of f adds c times that component of p_lam[...]."""
-    acc: Terms = {}
-    for lam, c in _to_p(f.basis, f.terms).items():
-        _add_into(acc, dict(_p_in_h_sum(lam, n)), c)
-    return SymFunc("p", _scale(acc, Fraction(1, factorial(n))))
-
-
-@lru_cache(maxsize=None)
-def _p_in_h_sum(lam: tuple, n: int) -> tuple:
-    """n! times the degree-n part of p_lam[h_1 + h_2 + ...], an integer table.
-    Peel the first part k: the degree-d part of p_k[h_1 + h_2 + ...] is
-    h_{d/k} with every p_i replaced by p_{ik}, zero unless k divides d, and
-    d! h_{d/k} has the integer p_mu coefficients d!/z_mu; its product with
-    (n-d)! times the rest is scaled by C(n, d)."""
-    if not lam:
-        return (((), 1),) if n == 0 else ()
-    k, rest = lam[0], lam[1:]
-    acc: Terms = {}
-    for d in range(k, n - sum(rest) + 1, k):
-        scale = comb(n, d) * factorial(d)
-        head = {tuple(i * k for i in mu): scale // zee(mu) for mu in partitions_of(d // k)}
-        _add_into(acc, _merge_mul(head, dict(_p_in_h_sum(rest, n - d))))
-    return tuple(acc.items())
+    """Degree-n component of f[h_1 + h_2 + ...]: the degree-n part of the
+    truncated ``plethysm`` of f into h_1 + ... + h_n, which no h_i with
+    i > n reaches."""
+    full = plethysm(f, SymFunc("h", {(i,): 1 for i in range(1, n + 1)}), n)
+    return SymFunc("p", {lam: c for lam, c in full.terms.items() if sum(lam) == n})
 
 
 # ---------------------------------------------------------------------------

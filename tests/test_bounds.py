@@ -71,6 +71,20 @@ def test_sf_refused_before_any_symmetric_function(capsys, monkeypatch, family, n
     assert built == []
 
 
+@pytest.mark.parametrize("command, n", [
+    ("homology --n 11 --poset bogus", 11),
+    ("homology --n 1 --poset qnk:k=9", 1),
+    ("report --family qnk --n 12 --k 30", 12),
+    ("report --family ne --n 0 --k 3", 0),
+])
+def test_ground_refusal_comes_before_the_view_parameters(capsys, command, n):
+    # the ground size is checked before the spec or k is read
+    code = main([*command.split(), "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: ground set size {n} outside supported range 2..10\n"
+
+
 def test_sf_at_the_degree_bound_runs(capsys):
     assert main(["sf", "--family", "lie", "--n", "16", "--basis", "p", "--no-cache"]) == 0
     assert capsys.readouterr().out

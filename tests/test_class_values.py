@@ -1,35 +1,40 @@
 """The integer class-value recurrence and its integer tables against
 independent oracles.
 
-* the integer kernels of ``symfunc`` (``_p_in_h``, ``_p_in`` and
-  ``_p_in_h_sum``, which is n! times the degree-n part of
-  p_lam[h_1 + h_2 + ...]) against the ``Fraction`` tables they replaced,
-  kept here as named oracles, and ``_p_in_h_sum`` against the general
-  truncated ``plethysm``;
+* the integer kernels of ``symfunc`` (``_p_in_h`` and ``_p_in``) against
+  the ``Fraction`` tables they replaced, kept here as named oracles;
+* N_{n,m}(nu, lam), counted by the walk over the cycles of nu in ``reps``,
+  against a direct count of the set partitions fixed by one permutation of
+  each cycle type; and N(nu, lam) z_lam / z_nu, the p_nu coefficient of
+  p_lam[h_1 + h_2 + ...] in degree n, against the ``Fraction`` oracle of
+  that plethysm and against the general truncated ``plethysm``;
 * ``_in_p`` and ``_p_in`` against each other: for h, s and m the two
   tables are inverse matrices; the m tables also against the row-by-row
   construction from the h tables by Hall duality;
-* N_{n,m}(nu, lam) against a direct count of the set partitions fixed by
-  one permutation of each cycle type;
 * alpha and beta class values against the symmetric-function recurrence,
   rebuilt here on the ``Fraction`` oracle of p_lam[h_1 + h_2 + ...];
 * the integer pairing against the orthogonality of irreducible characters.
 """
 
+import fractions
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parthom import reps, symfunc
+from parthom import symfunc
 from parthom.chartable import character
 from parthom.errors import ModuleCheckError
 from parthom.partitions import check_partition, partitions_of, zee
-from parthom.reps import _fixed_partition_counts, class_values, schur_multiplicity
+from parthom.reps import (
+    _block_orbit_counts,
+    _fixed_partition_counts,
+    class_values,
+    schur_multiplicity,
+)
 from parthom.setparts import act, canonical_permutation
-from parthom.symfunc import SymFunc, _in_p, _p_in, _p_in_h, _p_in_h_sum, plethysm
+from parthom.symfunc import SymFunc, _in_p, _p_in, _p_in_h, plethysm
 from test_chain_sums import set_partitions
 from test_classfunc import inverse_characteristic
 from test_symfunc import H, P
@@ -89,23 +94,31 @@ def _kernel_cases():
     return [(lam, n) for n in range(KERNEL_N + 1) for m in range(n + 1) for lam in partitions_of(m)]
 
 
-def test_p_in_h_sum_is_n_factorial_times_the_fraction_oracle():
+def n_column_as_plethysm(lam: tuple, n: int) -> dict:
+    """{nu: N(nu, lam) z_lam / z_nu} over nu |- n: the degree-n part of
+    p_lam[h_1 + h_2 + ...] that the column lam of N_{n,|lam|} stands for."""
+    m = sum(lam)
+    j = partitions_of(m).index(lam)
+    return {nu: Fraction(c * zee(lam), zee(nu))
+            for nu, row in zip(partitions_of(n), _fixed_partition_counts(n, m))
+            for i, c in row if i == j}
+
+
+def test_fixed_partition_counts_match_the_fraction_oracle():
     for lam, n in _kernel_cases():
-        got = dict(_p_in_h_sum(lam, n))
-        assert all(type(v) is int for v in got.values()), (lam, n)
-        want = {nu: v * factorial(n) for nu, v in oracle_p_in_h_sum(lam, n).items()}
-        assert got == want, (lam, n)
+        assert all(type(c) is int for row in _fixed_partition_counts(n, sum(lam))
+                   for _, c in row), (lam, n)
+        assert n_column_as_plethysm(lam, n) == oracle_p_in_h_sum(lam, n), (lam, n)
 
 
-def test_p_in_h_sum_matches_the_general_plethysm():
+def test_fixed_partition_counts_match_the_general_plethysm():
     h_sum = SymFunc("h", {(i,): 1 for i in range(1, KERNEL_N + 1)})
     for m in range(KERNEL_N + 1):
         for lam in partitions_of(m):
             full = plethysm(P(lam), h_sum, KERNEL_N)
             for n in range(m, KERNEL_N + 1):
-                table = {nu: Fraction(c, factorial(n)) for nu, c in _p_in_h_sum(lam, n)}
                 part = {nu: c for nu, c in full.terms.items() if sum(nu) == n}
-                assert part == table, (lam, n)
+                assert part == n_column_as_plethysm(lam, n), (lam, n)
 
 
 def test_p_product_in_matches_the_fraction_oracle():
@@ -122,9 +135,10 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"Fraction{args} built by an integer kernel")
 
+    # symfunc binds the name at import; a function-local import reads the module
     monkeypatch.setattr(symfunc, "Fraction", refuse)
-    monkeypatch.setattr(reps, "Fraction", refuse)
-    for kernel in (_p_in_h, _p_in, _p_in_h_sum, _fixed_partition_counts):
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    for kernel in (_p_in_h, _p_in, _block_orbit_counts, _fixed_partition_counts):
         kernel.cache_clear()
     for n in range(1, KERNEL_N):
         for m in range(1, n + 1):
@@ -174,20 +188,6 @@ def test_monomial_tables_match_the_row_by_row_oracle():
         assert all(type(c) is int for row in got.values() for _, c in row), n
 
 
-def test_non_integer_n_entry_raises(monkeypatch):
-    n = 5
-
-    def perturbed(lam, deg):
-        # one more in the p_(n) entry of n! h_n: N((n), (1)) becomes 125/120
-        table = dict(_p_in_h_sum(lam, deg))
-        table[(n,)] += 1
-        return tuple(table.items())
-
-    monkeypatch.setattr(reps, "_p_in_h_sum", perturbed)
-    with pytest.raises(ModuleCheckError, match=r"N_5,1\(\(5,\), \(1,\)\)"):
-        _fixed_partition_counts.__wrapped__(n, 1)
-
-
 # ---------------------------------------------------------------------------
 # N, the recurrence and the pairing
 
@@ -217,7 +217,7 @@ def _brute_force_counts(n: int, m: int) -> dict:
     return counts
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_fixed_partition_counts_match_brute_force(n):
     nus = partitions_of(n)
     for m in range(1, n + 1):

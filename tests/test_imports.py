@@ -66,8 +66,9 @@ def test_package_import_loads_no_module():
 
 #: run in a fresh interpreter: import the entry point, run one command with
 #: its stdout dropped, then name every parthom module in sys.modules and
-#: whether it was executed; a lazily registered module that no attribute
-#: access has loaded yet is not a plain module
+#: whether it was executed, and whether ``fractions`` was imported; a lazily
+#: registered module that no attribute access has loaded yet is not a plain
+#: module
 PROBE = """
 import contextlib, io, json, sys, types
 import parthom.cli
@@ -77,23 +78,23 @@ if sys.argv[1:]:
         code = parthom.cli.main(sys.argv[1:])
 modules = {name.removeprefix("parthom."): type(module) is types.ModuleType
            for name, module in sys.modules.items() if name.startswith("parthom.")}
-print(json.dumps({"code": code, "modules": modules}))
+print(json.dumps({"code": code, "modules": modules, "fractions": "fractions" in sys.modules}))
 """
 
 START = {"cli", "cache", "errors"}
-SYMFUNC = START | {"symfunc", "chartable", "partitions"}
-RECURRENCE = SYMFUNC | {"reps"}
+CLASS_VALUES = START | {"reps", "chartable", "partitions"}
+RECURRENCE = CLASS_VALUES | {"symfunc"}
 POSET = {"poset", "setparts", "partitions"}
 CHAINS = RECURRENCE | POSET
 HOMOLOGY = START | POSET | {"topology", "snf"}
 
 
-def probe(*argv) -> tuple[int | None, dict[str, bool]]:
+def probe(*argv) -> tuple[int | None, dict[str, bool], bool]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-S", "-c", PROBE, *argv], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     result = json.loads(out.stdout)
-    return result["code"], result["modules"]
+    return result["code"], result["modules"], result["fractions"]
 
 
 def executed(modules: dict[str, bool]) -> set[str]:
@@ -105,7 +106,7 @@ def test_cli_import_registers_every_traced_module_but_executes_three():
     # bench/tracer.py looks each one up in sys.modules right after the import
     traced = {module for module, *_ in tracer["SPANS"] + tracer["COUNTS"]}
     traced.add("parthom.chartable")
-    _, modules = probe()
+    _, modules, _ = probe()
     assert {name.removeprefix("parthom.") for name in traced} <= set(modules)
     assert executed(modules) == START
 
@@ -114,7 +115,7 @@ def test_cli_import_registers_every_traced_module_but_executes_three():
 def test_cache_hit_executes_only_what_renders_it(tmp_path, fmt, expected):
     argv = ["sf", "--family", "whitehouse", "--n", "5", "--k", "3", "--cache-dir", str(tmp_path)]
     assert probe(*argv)[0] == 0
-    code, modules = probe(*argv, "--format", fmt)
+    code, modules, _ = probe(*argv, "--format", fmt)
     assert code == 0 and executed(modules) == expected
 
 
@@ -124,26 +125,34 @@ def test_cache_hit_executes_only_what_renders_it(tmp_path, fmt, expected):
     (["alpha", "--n", "6", "--ranks", "1,3"], RECURRENCE),
     (["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains"], CHAINS),
     (["sf", "--family", "lie", "--n", "5", "--basis", "s"], RECURRENCE),
-    (["table", "--family", "bS", "--n", "5"], RECURRENCE),
+    (["table", "--family", "bS", "--n", "5"], CLASS_VALUES),
     (["report", "--family", "stability", "--ranks", "1", "--k", "2", "--max-n", "5"],
-     RECURRENCE | {"checks"}),
-    (["check", "--suite", "method", "--max-n", "4"], CHAINS | {"checks"}),
+     CLASS_VALUES | {"checks"}),
+    (["check", "--suite", "method", "--max-n", "4"], CLASS_VALUES | POSET | {"checks"}),
     (["check", "--suite", "even", "--max-n", "3"], RECURRENCE | {"checks"}),
     (["report", "--family", "qnk", "--n", "5", "--k", "3"], HOMOLOGY | RECURRENCE | {"checks"}),
 ], ids=["homology", "beta", "alpha", "alpha-chains", "sf", "table", "report-stability",
         "check-method", "check-even", "report-qnk"])
 def test_each_command_executes_only_the_modules_it_runs(argv, expected):
-    code, modules = probe(*argv, "--no-cache", "--format", "json")
+    code, modules, fractions = probe(*argv, "--no-cache", "--format", "json")
     assert code == 0 and executed(modules) == expected
+    # only a command that prints a symmetric function makes a Fraction
+    assert fractions == ("symfunc" in expected)
 
 
 def test_the_chain_method_is_refused_before_any_library_module():
     # the chains workload's refusal probe
-    code, modules = probe("alpha", "--n", "9", "--ranks", "1-7", "--method", "chains",
+    code, modules, _ = probe("alpha", "--n", "9", "--ranks", "1-7", "--method", "chains",
                           "--no-cache")
     assert code == 2 and executed(modules) == START
 
 
 def test_a_view_refused_by_its_size_loads_no_topology():
-    code, modules = probe("homology", "--n", "11", "--poset", "full", "--no-cache")
-    assert code == 2 and executed(modules) == START | POSET
+    # the homology workload's refusal probe loads no library module at all
+    code, modules, _ = probe("homology", "--n", "11", "--poset", "full", "--no-cache")
+    assert code == 2 and executed(modules) == START
+
+
+def test_a_report_refused_by_its_ground_size_loads_no_library_module():
+    code, modules, _ = probe("report", "--family", "qnk", "--n", "11", "--k", "3", "--no-cache")
+    assert code == 2 and executed(modules) == START
