@@ -45,6 +45,10 @@ def _requests() -> list[str]:
             "check --suite method --max-n 5"]
     out += [f"report --family {family} --n 6 --k {k}"
             for family, k in (("qnk", 3), ("pnk", 3), ("le", 2), ("ne", 3))]
+    # the lie(n) branch, Whitehouse(n, n - 1) and ne below n = 2k: each prints
+    # a character and its restriction in the s basis
+    out += [f"report --family {family} --n 5 --k {k}"
+            for family, k in (("le", 4), ("le", 3), ("ne", 3))]
     out.append("report --family stability --ranks 2,3 --k 1 --max-n 8")
     return [f"{request} --format {fmt}" for request in out for fmt in FORMATS]
 
@@ -60,7 +64,7 @@ def _run(request: str) -> dict:
 
 
 def test_golden_file_covers_every_request():
-    assert len(REQUESTS) == 228
+    assert len(REQUESTS) == 237
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(REQUESTS)
 
 
