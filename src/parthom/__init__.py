@@ -4,8 +4,8 @@ The package re-exports nothing and importing it loads none of its modules;
 import the module you need, e.g. ``from parthom.reps import class_values``.
 The modules by concern:
 
-* :mod:`parthom.symfunc` -- exact symmetric function arithmetic (five bases,
-  plethysm, inner products, a positivity check).
+* :mod:`parthom.symfunc` -- exact symmetric function arithmetic on powersum
+  terms (plethysm, inner products, read-out in five bases, a positivity check).
 * :mod:`parthom.poset` -- the refinement lattice of set partitions and its
   rank-selected, block-size-restricted and modular-deleted subposets.
 * :mod:`parthom.topology` -- order complexes, integer homology by

@@ -27,6 +27,4 @@ class ClassFunction:
 
     def characteristic(self) -> SymFunc:
         """The Frobenius characteristic, the sum of chi(mu) p_mu / z_mu."""
-        return SymFunc(
-            "p", {mu: v / zee(mu) for mu, v in self.values.items() if v}
-        )
+        return SymFunc({mu: v / zee(mu) for mu, v in self.values.items() if v})

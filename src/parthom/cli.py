@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 # result assembly (cacheable payload dicts)
 
 def _symfunc_payload(f: symfunc.SymFunc, basis: str) -> dict:
-    # the dimension does not depend on the basis; f's own needs no conversion
+    # the dimension is read off the powersum terms, whatever basis prints
     return {"symfunc": f.in_basis(basis).to_json_dict(), "dimension": str(f.dimension())}
 
 

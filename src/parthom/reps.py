@@ -112,7 +112,7 @@ def characteristic(n: int, values) -> SymFunc:
 
     from .symfunc import SymFunc
 
-    return SymFunc("p", {mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values)})
+    return SymFunc({mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values)})
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +204,7 @@ def lie_character(n: int) -> SymFunc:
         mu = _number_mobius(d)
         if mu:
             terms[(d,) * (n // d)] = Fraction(mu, n)
-    return SymFunc("p", terms).sign_twist()
+    return SymFunc(terms).sign_twist()
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +225,13 @@ class Multiplicities(NamedTuple):
 def schur_multiplicity(values: tuple[int, ...], lam) -> int:
     """<chi, s_lam> for integer class values of chi over ``partitions_of(n)``:
     sum of chi(nu) |class of nu| chi^lam(nu) over nu, over n!, which must be
-    exact."""
+    exact.  Values of another degree than lam are refused with ``ValueError``."""
     lam = check_partition(lam)
-    total = sum(map(mul, values, _class_weights(lam)))
+    weights = _class_weights(lam)
+    if len(values) != len(weights):
+        raise ValueError(f"{len(values)} class values paired with s{lam}, "
+                         f"whose degree {sum(lam)} has {len(weights)} classes")
+    total = sum(map(mul, values, weights))
     quotient, remainder = divmod(total, factorial(sum(lam)))
     if remainder:
         raise ModuleCheckError(f"non-integer multiplicity {total}/{sum(lam)}! of s{lam}")
@@ -330,12 +334,12 @@ def even_block_characteristic(n: int) -> SymFunc:
     lattice on 2n points, sum_i b_i(n) h_2^i h_1^(2n-2i).  ``check --suite
     even`` compares it with the homology module of the even rank selection
     computed by the plethystic recurrence."""
-    from .symfunc import SymFunc
+    from .symfunc import from_h
 
     if n < 2:
         raise ValueError("need n >= 2")
-    return SymFunc("h", {(2,) * i + (1,) * (2 * n - 2 * i): even_block_multiplicity(i, n)
-                         for i in range(2, n + 1)})
+    return from_h({(2,) * i + (1,) * (2 * n - 2 * i): even_block_multiplicity(i, n)
+                   for i in range(2, n + 1)})
 
 
 # ---------------------------------------------------------------------------

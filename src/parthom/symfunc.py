@@ -1,33 +1,32 @@
 """Exact symmetric function arithmetic over the rationals.
 
-Five bases: powersum ``p``, complete homogeneous ``h``, elementary ``e``,
-Schur ``s`` and monomial ``m``.  A :class:`SymFunc` is a basis tag plus a
-finite map from partitions to ``Fraction`` coefficients (zeros are never
-stored); inhomogeneous values are allowed, with the degree of a term given
-by the weight of its partition.
+A :class:`SymFunc` is its powersum expansion: a finite map from partitions
+lam to the ``Fraction`` coefficients of p_lam (zeros are never stored).
+Inhomogeneous values are allowed, with the degree of a term given by the
+weight of its partition.  Every operation is a monomial one on these terms:
+products concatenate indices, plethysm substitutes p_i -> p_{ik}, the
+involution omega only signs, omega(p_lam) = (-1)^(|lam| - len(lam)) p_lam,
+and the Hall pairing is <p_lam, p_mu> = z_lam when lam = mu and 0 otherwise.
 
-The powersum basis is canonical for arithmetic: products concatenate
-indices and plethysm is a monomial substitution there.  The other bases
-are reached by exact conversions:
+A basis is named only to read coefficients out: ``in_basis`` gives them in
+powersum ``p``, complete homogeneous ``h``, elementary ``e``, Schur ``s`` or
+monomial ``m`` as an :class:`Expansion`, which the commands print and
+:func:`is_positive` tests.  The tables ``_p_in(basis, mu)``, p_mu in the h,
+s or m basis, are built over ``int``:
 
-* ``h_n`` expands into powersums by the classical class-size formula;
-  ``p_n`` expands back through Newton's identities.
-* ``e`` is the image of ``h`` under the involution omega, which only
-  signs powersum monomials: omega(p_lam) = (-1)^(|lam| - len(lam)) p_lam.
-* Schur conversions pair powersum coefficients against symmetric group
-  characters (see :mod:`parthom.chartable`), so no floating point and no
-  determinants are involved.
-* The m_lam coefficient of p_mu counts the ways to put the parts of mu
-  into boxes with sums lam: the set partitions of the parts by block sum,
-  times the product of m_i(lam)!.  Back into powersums, Hall duality with
-  ``h`` (<h_lam, m_mu> is 1 when lam = mu and 0 otherwise) makes the p_mu
-  coefficient of m_lam the h_lam coefficient of p_mu divided by z_mu.
+* ``p_n`` expands into h by Newton's identities;
+* ``e`` is read as the h coefficients of the omega image;
+* p_mu = sum over lam of chi^lam(mu) s_lam, from the symmetric group
+  characters of :mod:`parthom.chartable`, with no floating point and no
+  determinants;
+* the m_lam coefficient of p_mu counts the ways to put the parts of mu
+  into boxes with sums lam.
 
-The tables ``_p_in(basis, mu)``, p_mu in the h, s or m basis, are built
-over ``int`` (Newton's identities, the character table and the count of
-boxes all give integer coefficients).  A conversion out of powersums
-sums them over the common denominator of the p coefficients and divides
-once per output term, the only place a ``Fraction`` is made from them.
+A conversion sums the tables over the common denominator of the p
+coefficients and divides once per output term, the only place a
+``Fraction`` is made from them.  The one way in from another basis is
+:func:`from_h`, by the class-size formula n! h_n = sum over lam |- n of
+(n! / z_lam) p_lam, an integer table too.
 
 ``plethysm`` is the one plethysm: ``plethysm_with_h_sum``, the degree-n
 part of f[h_1 + h_2 + ...], is the degree-n part of ``plethysm`` into
@@ -38,16 +37,17 @@ Coefficients must be rational: a float (whose binary expansion
 ``Fraction`` would keep) is refused with ``TypeError``.
 
 All values are immutable after construction and every operation is a pure
-function; the expansions below are memoized with ``lru_cache`` and hand
-out immutable tuples.
+function; the tables are memoized with ``lru_cache`` and hand out
+immutable tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from numbers import Rational
+from typing import NamedTuple
 
 from .chartable import character
 from .errors import SCHUR_REFUSAL, refuse_past
@@ -57,8 +57,6 @@ from .partitions import (
     partitions_of,
     zee,
 )
-
-BASES = ("p", "h", "e", "s", "m")
 
 Terms = dict  # partition tuple -> Fraction, or int in the integer tables
 
@@ -97,10 +95,6 @@ def _merge_mul(a: Terms, b: Terms, max_degree: int | None = None) -> Terms:
     return out
 
 
-def _scale(terms: Terms, c: Fraction) -> Terms:
-    return {lam: v * c for lam, v in terms.items()} if c else {}
-
-
 def _add_into(acc: Terms, terms: Terms, c=1) -> None:
     for lam, v in terms.items():
         w = acc.get(lam, 0) + c * v
@@ -111,12 +105,12 @@ def _add_into(acc: Terms, terms: Terms, c=1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# expansions into and out of powersums, memoized; e and m come from h
+# expansions between h and powersums, memoized
 
 @lru_cache(maxsize=None)
 def _h_in_p(n: int) -> tuple:
-    # h_n = sum over lam |- n of p_lam / z_lam
-    return tuple((lam, Fraction(1, zee(lam))) for lam in partitions_of(n))
+    # n! h_n = sum over lam |- n of (n! / z_lam) p_lam, with integer coefficients
+    return tuple((lam, factorial(n) // zee(lam)) for lam in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
@@ -134,22 +128,6 @@ def _product(table, lam: tuple) -> Terms:
     for part in lam:
         acc = _merge_mul(acc, dict(table(part)))
     return acc
-
-
-@lru_cache(maxsize=None)
-def _in_p(basis: str, lam: tuple) -> tuple:
-    """B_lam expanded in powersums, for the basis B = h, s or m."""
-    if basis == "h":
-        return tuple(_product(_h_in_p, lam).items())
-    n = sum(lam)
-    if basis == "s":
-        # s_lam = sum over mu of chi^lam(mu) p_mu / z_mu
-        refuse_past("schur_degree", n, SCHUR_REFUSAL)
-        pairs = ((mu, character(lam, mu)) for mu in partitions_of(n))
-    else:
-        # Hall duality: <m_lam, p_mu> is the h_lam coefficient of p_mu
-        pairs = _h_columns(n).get(lam, ())
-    return tuple((mu, Fraction(c, zee(mu))) for mu, c in pairs)
 
 
 @lru_cache(maxsize=None)
@@ -177,36 +155,10 @@ def _p_in(basis: str, mu: tuple) -> tuple:
     return tuple((lam, acc[lam]) for lam in partitions_of(n) if lam in acc)
 
 
-@lru_cache(maxsize=None)
-def _h_columns(n: int) -> dict:
-    """The h table ``_p_in("h", row)`` of degree n transposed in one pass:
-    each partition maps to its nonzero ``(row, coefficient)`` pairs, rows
-    in the order of :func:`partitions_of`.  The m basis reads its rows here."""
-    columns: dict = {}
-    for row in partitions_of(n):
-        for key, c in _p_in("h", row):
-            columns.setdefault(key, []).append((row, c))
-    return {key: tuple(pairs) for key, pairs in columns.items()}
-
-
 def _twist(terms: Terms) -> Terms:
     """The involution omega on powersum terms, p_lam -> (-1)^(|lam| - len(lam)) p_lam;
     it sends h_lam to e_lam and s_lam to the Schur function of the conjugate."""
     return {lam: -c if (sum(lam) - len(lam)) % 2 else c for lam, c in terms.items()}
-
-
-# ---------------------------------------------------------------------------
-# conversions between full term maps
-
-def _to_p(basis: str, terms: Terms) -> Terms:
-    if basis == "p":
-        return dict(terms)
-    if basis == "e":
-        return _twist(_to_p("h", terms))
-    acc: Terms = {}
-    for lam, c in terms.items():
-        _add_into(acc, dict(_in_p(basis, lam)), c)
-    return acc
 
 
 def _from_p(target: str, pterms: Terms) -> Terms:
@@ -227,141 +179,107 @@ def _from_p(target: str, pterms: Terms) -> Terms:
 
 # ---------------------------------------------------------------------------
 
+class Expansion(NamedTuple):
+    """The coefficients of a symmetric function in one named basis."""
+
+    basis: str
+    terms: Terms
+
+    def to_json_dict(self) -> dict:
+        ordered = sorted(self.terms.items(), key=lambda kv: canonical_sort_key(kv[0]))
+        return {
+            "basis": self.basis,
+            "terms": [{"partition": list(lam), "coeff": str(c)} for lam, c in ordered],
+        }
+
+
 class SymFunc:
-    """A symmetric function with exact rational coefficients in one basis."""
+    """A symmetric function: exact rational coefficients of powersums."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, terms=None):
         object.__setattr__(self, "terms", _clean(terms or {}))
 
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc values are immutable")
 
-    # -- queries ------------------------------------------------------------
-
-    def degrees(self) -> list[int]:
-        return sorted({sum(lam) for lam in self.terms})
-
-    def terms_sorted(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: canonical_sort_key(kv[0]))
-
     def dimension(self) -> Fraction:
         """Character value at the identity: n! times the p_(1^n) coefficient,
         summed over homogeneous components (degree 0 contributes its constant)."""
-        pt = self.in_basis("p").terms
-        total = Fraction(0)
-        for n in sorted({sum(lam) for lam in pt}):
-            total += pt.get((1,) * n if n else (), 0) * factorial(n)
-        return total
+        degrees = {sum(lam) for lam in self.terms}
+        return sum((self.terms.get((1,) * n, 0) * factorial(n) for n in degrees), Fraction(0))
 
-    # -- conversions ----------------------------------------------------------
-
-    def in_basis(self, target: str) -> "SymFunc":
-        if target == self.basis:
-            return self
-        return SymFunc(target, _from_p(target, _to_p(self.basis, self.terms)))
+    def in_basis(self, target: str) -> Expansion:
+        """The coefficients in the basis *target*: p, h, e, s or m."""
+        return Expansion(target, _from_p(target, self.terms))
 
     # -- ring structure -------------------------------------------------------
-
-    def _coerced(self, other: "SymFunc") -> Terms:
-        return other.in_basis(self.basis).terms
 
     def __add__(self, other):
         if isinstance(other, SymFunc):
             acc = dict(self.terms)
-            _add_into(acc, self._coerced(other))
-            return SymFunc(self.basis, acc)
+            _add_into(acc, other.terms)
+            return SymFunc(acc)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, SymFunc):
             acc = dict(self.terms)
-            _add_into(acc, self._coerced(other), Fraction(-1))
-            return SymFunc(self.basis, acc)
+            _add_into(acc, other.terms, -1)
+            return SymFunc(acc)
         return NotImplemented
-
-    def __neg__(self):
-        return SymFunc(self.basis, _scale(self.terms, Fraction(-1)))
 
     def __mul__(self, other):
         if isinstance(other, Rational):
-            return SymFunc(self.basis, _scale(self.terms, Fraction(other)))
+            return SymFunc({lam: v * other for lam, v in self.terms.items()})
         if isinstance(other, SymFunc):
-            if self.basis == other.basis and self.basis in ("p", "h", "e"):
-                return SymFunc(self.basis, _merge_mul(self.terms, other.terms))
-            a = _to_p(self.basis, self.terms)
-            b = _to_p(other.basis, other.terms)
-            return SymFunc("p", _merge_mul(a, b))
+            return SymFunc(_merge_mul(self.terms, other.terms))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, SymFunc):
-            return _to_p(self.basis, self.terms) == _to_p(other.basis, other.terms)
-        if isinstance(other, Rational):
-            return _to_p(self.basis, self.terms) == ({(): Fraction(other)} if other else {})
+            return self.terms == other.terms
         return NotImplemented
 
     __hash__ = None
 
-    # -- the operations that act through the powersum expansion ---------------
-
     def inner(self, other: "SymFunc") -> Fraction:
         """Hall inner product; powersums are orthogonal with <p_lam, p_lam> = z_lam."""
-        a = _to_p(self.basis, self.terms)
-        b = _to_p(other.basis, other.terms)
+        a, b = self.terms, other.terms
         if len(b) < len(a):
             a, b = b, a
         return sum((c * b[lam] * zee(lam) for lam, c in a.items() if lam in b), Fraction(0))
 
     def d_dp1(self) -> "SymFunc":
         """Formal partial derivative with respect to p_1 (restriction to the
-        next smaller symmetric group)."""
-        return SymFunc("p", _d_dpk(_to_p(self.basis, self.terms), 1))
+        next smaller symmetric group): p_lam with m parts 1 goes to m p_lam'
+        for lam' = lam less one part 1, which is its last part."""
+        return SymFunc({lam[:-1]: lam.count(1) * c
+                        for lam, c in self.terms.items() if lam and lam[-1] == 1})
 
     def sign_twist(self) -> "SymFunc":
         """The involution sending p_k to (-1)^(k-1) p_k, i.e. tensoring the
         underlying module with the sign representation."""
-        return SymFunc("p", _twist(_to_p(self.basis, self.terms))).in_basis(self.basis)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"partition": list(lam), "coeff": str(c)}
-                for lam, c in self.terms_sorted()
-            ],
-        }
-
-
-def _d_dpk(pterms: Terms, k: int) -> Terms:
-    out: Terms = {}
-    for lam, c in pterms.items():
-        m = lam.count(k)
-        if not m:
-            continue
-        idx = lam.index(k)
-        key = lam[:idx] + lam[idx + 1 :]
-        v = out.get(key, 0) + m * c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
+        return SymFunc(_twist(self.terms))
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 def powersum(spec, coeff=1) -> SymFunc:
-    return SymFunc("p", {check_partition(spec): coeff})
+    return SymFunc({check_partition(spec): coeff})
+
+
+def from_h(terms) -> SymFunc:
+    """The function sum of c h_lam over the (lam, c) of *terms*, in powersums."""
+    acc: Terms = {}
+    for lam, c in terms.items():
+        lam = check_partition(lam)
+        _add_into(acc, _product(_h_in_p, lam), as_fraction(c) / prod(map(factorial, lam)))
+    return SymFunc(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +294,9 @@ def plethysm(f: SymFunc, g: SymFunc, max_degree: int) -> SymFunc:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    gp = _to_p(g.basis, g.terms)
+    gp = g.terms
     if gp.get((), 0):
         raise ValueError("plethysm into a series with nonzero constant term")
-    fp = _to_p(f.basis, f.terms)
 
     def substitute(k: int) -> Terms:
         return {
@@ -389,22 +306,22 @@ def plethysm(f: SymFunc, g: SymFunc, max_degree: int) -> SymFunc:
         }
 
     acc: Terms = {}
-    for lam, c in fp.items():
+    for lam, c in f.terms.items():
         cur: Terms = {(): Fraction(1)}
         for part in lam:
             cur = _merge_mul(cur, substitute(part), max_degree)
             if not cur:
                 break
         _add_into(acc, cur, c)
-    return SymFunc("p", acc)
+    return SymFunc(acc)
 
 
 def plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
     """Degree-n component of f[h_1 + h_2 + ...]: the degree-n part of the
     truncated ``plethysm`` of f into h_1 + ... + h_n, which no h_i with
     i > n reaches."""
-    full = plethysm(f, SymFunc("h", {(i,): 1 for i in range(1, n + 1)}), n)
-    return SymFunc("p", {lam: c for lam, c in full.terms.items() if sum(lam) == n})
+    full = plethysm(f, from_h({(i,): 1 for i in range(1, n + 1)}), n)
+    return SymFunc({lam: c for lam, c in full.terms.items() if sum(lam) == n})
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +339,6 @@ def hook_schur(n: int, k: int) -> SymFunc:
         raise ValueError(f"need 0 <= k <= n-1, got n={n}, k={k}")
     acc: Terms = {}
     for i in range(k + 1):
-        sign = Fraction(-1 if (k - i) % 2 else 1)
-        _add_into(acc, _merge_mul(dict(_h_in_p(n - i)), _twist(dict(_h_in_p(i)))), sign)
-    return SymFunc("p", acc)
+        c = Fraction(-1 if (k - i) % 2 else 1, factorial(n - i) * factorial(i))
+        _add_into(acc, _merge_mul(dict(_h_in_p(n - i)), _twist(dict(_h_in_p(i)))), c)
+    return SymFunc(acc)

@@ -102,7 +102,7 @@ def test_06_orbit_decomposition():
     """The chain action decomposes into simsun-counted involution orbits."""
     for n in range(4, 9):
         alpha = chain_characteristic(n, range(1, n - 1))
-        total = SymFunc("p", {})
+        total = SymFunc()
         for i in range(1, n // 2 + 1):
             c = simsun(i, n)
             if c:
@@ -125,7 +125,7 @@ def test_07_even_block_module():
             assert even_block_multiplicity(i, n) > 0, (i, n)
     for n in range(2, 7):
         r = even_block_characteristic(n)
-        alt = SymFunc("p", {})
+        alt = SymFunc()
         for i in range(2, n + 1):
             c = ek_number(i, n)
             assert c >= 0, (i, n)

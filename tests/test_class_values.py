@@ -8,9 +8,12 @@ independent oracles.
   each cycle type; and N(nu, lam) z_lam / z_nu, the p_nu coefficient of
   p_lam[h_1 + h_2 + ...] in degree n, against the ``Fraction`` oracle of
   that plethysm and against the general truncated ``plethysm``;
-* ``_in_p`` and ``_p_in`` against each other: for h, s and m the two
-  tables are inverse matrices; the m tables also against the row-by-row
-  construction from the h tables by Hall duality;
+* the expansions of h, s and m into powersums against ``_p_in``: for each
+  basis the two are inverse matrices.  h comes from ``symfunc.from_h``;
+  s and m, which no command expands into powersums, are kept here as the
+  named oracles ``oracle_s_in_p`` and ``oracle_m_in_p``.  The m table is
+  also checked against its row-by-row construction from the h expansion
+  by Hall duality;
 * alpha and beta class values against the symmetric-function recurrence,
   rebuilt here on the ``Fraction`` oracle of p_lam[h_1 + h_2 + ...];
 * the integer pairing against the orthogonality of irreducible characters.
@@ -30,14 +33,16 @@ from parthom.partitions import check_partition, partitions_of, zee
 from parthom.reps import (
     _block_orbit_counts,
     _fixed_partition_counts,
+    characteristic,
     class_values,
+    lie_character,
+    rank_subsets,
     schur_multiplicity,
+    whitehouse_module,
 )
 from parthom.setparts import act, canonical_permutation
-from parthom.symfunc import SymFunc, _in_p, _p_in, _p_in_h, plethysm
+from parthom.symfunc import SymFunc, _h_in_p, _p_in, _p_in_h, from_h, plethysm, powersum
 from test_chain_sums import set_partitions
-from test_classfunc import inverse_characteristic
-from test_symfunc import H, P
 
 #: the integer tables are checked exactly for every lam with |lam| <= n <= KERNEL_N
 KERNEL_N = 9
@@ -90,6 +95,22 @@ def oracle_p_in_h_sum(lam: tuple, n: int) -> dict:
     return {key: v for key, v in acc.items() if v}
 
 
+def oracle_s_in_p(lam: tuple) -> dict:
+    """s_lam in powersums: the sum over mu of chi^lam(mu) p_mu / z_mu."""
+    return {mu: Fraction(chi, zee(mu))
+            for mu in partitions_of(sum(lam)) if (chi := character(lam, mu))}
+
+
+def oracle_m_in_p(lam: tuple) -> dict:
+    """m_lam in powersums by Hall duality with h: <m_lam, p_mu> is the h_lam
+    coefficient of p_mu, so [p_mu]m_lam = [h_lam]p_mu / z_mu."""
+    return {mu: Fraction(c, zee(mu))
+            for mu in partitions_of(sum(lam)) if (c := dict(_p_in("h", mu)).get(lam))}
+
+
+IN_P = {"h": lambda lam: from_h({lam: 1}).terms, "s": oracle_s_in_p, "m": oracle_m_in_p}
+
+
 def _kernel_cases():
     return [(lam, n) for n in range(KERNEL_N + 1) for m in range(n + 1) for lam in partitions_of(m)]
 
@@ -112,10 +133,10 @@ def test_fixed_partition_counts_match_the_fraction_oracle():
 
 
 def test_fixed_partition_counts_match_the_general_plethysm():
-    h_sum = SymFunc("h", {(i,): 1 for i in range(1, KERNEL_N + 1)})
+    h_sum = from_h({(i,): 1 for i in range(1, KERNEL_N + 1)})
     for m in range(KERNEL_N + 1):
         for lam in partitions_of(m):
-            full = plethysm(P(lam), h_sum, KERNEL_N)
+            full = plethysm(powersum(lam), h_sum, KERNEL_N)
             for n in range(m, KERNEL_N + 1):
                 part = {nu: c for nu, c in full.terms.items() if sum(nu) == n}
                 assert part == n_column_as_plethysm(lam, n), (lam, n)
@@ -138,9 +159,10 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
     # symfunc binds the name at import; a function-local import reads the module
     monkeypatch.setattr(symfunc, "Fraction", refuse)
     monkeypatch.setattr(fractions, "Fraction", refuse)
-    for kernel in (_p_in_h, _p_in, _block_orbit_counts, _fixed_partition_counts):
+    for kernel in (_h_in_p, _p_in_h, _p_in, _block_orbit_counts, _fixed_partition_counts):
         kernel.cache_clear()
     for n in range(1, KERNEL_N):
+        _h_in_p(n)
         for m in range(1, n + 1):
             _fixed_partition_counts(n, m)
         for lam in partitions_of(n):
@@ -152,37 +174,31 @@ def test_integer_kernels_build_no_fraction(monkeypatch):
 @pytest.mark.parametrize("basis", ["h", "s", "m"])
 def test_tables_into_and_out_of_powersums_invert_each_other(basis):
     # sum over mu of [p_mu]B_lam [B_kappa]p_mu = delta(lam, kappa), the first
-    # factor from _in_p and the second from the integer table _p_in
+    # factor from IN_P and the second from the integer table _p_in
     for n in range(9):
         rows = {mu: dict(_p_in(basis, mu)) for mu in partitions_of(n)}
         assert all(type(v) is int for row in rows.values() for v in row.values()), n
         for lam in partitions_of(n):
             product = {}
-            for mu, c in _in_p(basis, lam):
+            for mu, c in IN_P[basis](lam).items():
                 for kappa, d in rows[mu].items():
                     product[kappa] = product.get(kappa, 0) + c * d
             assert {kappa: v for kappa, v in product.items() if v} == {lam: 1}, lam
 
 
-def oracle_m_rows(n):
-    """The monomial tables of degree n built row by row, each row from a new
-    dict of every h row: by Hall duality [p_mu]m_lam = [h_lam]p_mu / z_mu
-    and [m_lam]p_mu = z_mu [p_mu]h_lam."""
-    into = {lam: tuple((mu, Fraction(c, zee(mu))) for mu in partitions_of(n)
-                       if (c := dict(_p_in("h", mu)).get(lam)))
-            for lam in partitions_of(n)}
-    out = {mu: tuple((lam, c) for lam in partitions_of(n)
-                     if (c := dict(_in_p("h", lam)).get(mu, 0) * zee(mu)))
-           for mu in partitions_of(n)}
-    return into, out
+def oracle_p_in_m_rows(n):
+    """The monomial table of degree n built row by row from the h expansion
+    of every h_lam: by Hall duality [m_lam]p_mu = z_mu [p_mu]h_lam."""
+    h = {lam: from_h({lam: 1}).terms for lam in partitions_of(n)}
+    return {mu: tuple((lam, c) for lam in partitions_of(n) if (c := h[lam].get(mu, 0) * zee(mu)))
+            for mu in partitions_of(n)}
 
 
 def test_monomial_tables_match_the_row_by_row_oracle():
-    # the transposed h table and the count of boxes give the same rows, in
-    # the same order
+    # the h expansion and the count of boxes give the same rows, in the same
+    # order
     for n in range(11):
-        into, out = oracle_m_rows(n)
-        assert {lam: _in_p("m", lam) for lam in partitions_of(n)} == into, n
+        out = oracle_p_in_m_rows(n)
         got = {mu: _p_in("m", mu) for mu in partitions_of(n)}
         assert got == out, n
         assert all(type(c) is int for row in got.values() for _, c in row), n
@@ -234,9 +250,9 @@ def test_fixed_partition_counts_match_brute_force(n):
 def _oracle_plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
     """Degree-n part of f[h_1 + h_2 + ...] on the ``Fraction`` oracle."""
     acc = {}
-    for lam, c in f.in_basis("p").terms.items():
+    for lam, c in f.terms.items():
         _add(acc, oracle_p_in_h_sum(lam, n), c)
-    return SymFunc("p", acc)
+    return SymFunc(acc)
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +260,7 @@ def _symfunc_recurrence(n: int, ranks: tuple[int, ...], homology: bool):
     """The named oracle: the recurrence on symmetric functions with rational
     coefficients, peeling the lowest rank by a plethysm into h_1 + h_2 + ..."""
     if not ranks:
-        return H(n)
+        return from_h({(n,): 1})
     s1 = ranks[0]
     inner = _symfunc_recurrence(n - s1, tuple(r - s1 for r in ranks[1:]), homology)
     result = _oracle_plethysm_with_h_sum(inner, n)
@@ -262,10 +278,9 @@ def rank_sets(draw):
 @given(rank_sets(), st.booleans())
 def test_class_values_match_symfunc_recurrence(case, homology):
     n, ranks = case
-    oracle = inverse_characteristic(_symfunc_recurrence(n, ranks, homology), n)
     values = class_values(n, ranks, homology=homology)
     assert all(isinstance(v, int) for v in values)
-    assert values == oracle
+    assert characteristic(n, values) == _symfunc_recurrence(n, ranks, homology)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -282,3 +297,32 @@ def test_pairing_refuses_values_that_are_not_a_character(n):
     values = (1,) + (0,) * (len(partitions_of(n)) - 1)
     with pytest.raises(ModuleCheckError):
         schur_multiplicity(values, (n,))
+
+
+def test_pairing_refuses_values_of_another_degree():
+    values = class_values(6, (1, 3))
+    with pytest.raises(ValueError, match=r"11 class values paired with s\(5,\), whose degree 5 has 7"):
+        schur_multiplicity(values, (5,))
+    with pytest.raises(ValueError, match="6 class values"):
+        schur_multiplicity(values[:6], (6,))
+
+
+def _values_of(f: SymFunc, n: int) -> tuple[int, ...]:
+    """The class values terms[mu] z_mu of a module f of degree n."""
+    values = tuple(f.terms.get(mu, 0) * zee(mu) for mu in partitions_of(n))
+    assert all(v.denominator == 1 for v in values), n
+    return tuple(map(int, values))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_schur_coefficients_match_the_integer_pairing(n):
+    # --basis s reads the table _p_in("s"), while --mult and the stability
+    # report pair class values by schur_multiplicity; both read the
+    # character table, and here they must agree on every module
+    modules = [class_values(n, ranks, homology)
+               for ranks in rank_subsets(range(1, n - 1)) for homology in (False, True)]
+    modules.append(_values_of(lie_character(n), n))
+    modules += [_values_of(whitehouse_module(n, k), n) for k in range(2, n)]
+    for values in modules:
+        expected = {lam: m for lam in partitions_of(n) if (m := schur_multiplicity(values, lam))}
+        assert characteristic(n, values).in_basis("s").terms == expected, (n, values)

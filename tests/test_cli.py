@@ -26,6 +26,21 @@ def test_beta_multiplicity_row(capsys):
     assert lines[1].split("\t") == ["7", "2,4,5", "5", "23"]
 
 
+@pytest.mark.parametrize("method", ["recurrence", "chains"])
+def test_multiplicity_row_matches_the_schur_coefficients(capsys, method):
+    # --mult pairs class values; --basis s reads the Schur table
+    base = ["beta", "--n", "7", "--ranks", "2,4", "--method", method, "--no-cache"]
+    code, out = run(capsys, *base, "--mult", "trivial,refl", "--format", "json")
+    assert code == 0
+    mult = json.loads(out)["multiplicities"]
+    code, out = run(capsys, *base, "--basis", "s", "--format", "json")
+    assert code == 0
+    coeffs = {tuple(t["partition"]): int(t["coeff"]) for t in json.loads(out)["symfunc"]["terms"]}
+    assert mult == {"trivial": coeffs.get((7,), 0),
+                    "refl": coeffs.get((7,), 0) + coeffs.get((6, 1), 0)}
+    assert mult["refl"] > 0
+
+
 def test_table_bs_rows_sum_to_euler(capsys):
     code, out = run(capsys, "table", "--family", "bS", "--n", "5",
                     "--format", "tsv", "--no-cache")
@@ -748,15 +763,15 @@ def test_pretty_form_is_read_off_the_payload():
     from fractions import Fraction
 
     from parthom.cli import _pretty_symfunc
-    from parthom.symfunc import SymFunc
+    from parthom.symfunc import Expansion
 
     cases = [
-        (SymFunc("h", {(2, 1): 1, (3,): -1, (1, 1, 1): Fraction(-3, 2), (): 5,
-                       (4,): Fraction(2, 3)}),
+        (Expansion("h", {(2, 1): 1, (3,): -1, (1, 1, 1): Fraction(-3, 2), (): 5,
+                         (4,): Fraction(2, 3)}),
          "5 - h[3] + h[2,1] - 3/2*h[1,1,1] + 2/3*h[4]"),
-        (SymFunc("p", {}), "0"),
-        (SymFunc("e", {(): -1, (1,): 1, (2,): -1}), "-1 + e[1] - e[2]"),
-        (SymFunc("m", {(): 1, (1, 1): Fraction(1, 2)}), "1 + 1/2*m[1,1]"),
+        (Expansion("p", {}), "0"),
+        (Expansion("e", {(): -1, (1,): 1, (2,): -1}), "-1 + e[1] - e[2]"),
+        (Expansion("m", {(): 1, (1, 1): Fraction(1, 2)}), "1 + 1/2*m[1,1]"),
     ]
     for f, text in cases:
         assert _pretty_symfunc(json.loads(json.dumps(f.to_json_dict()))) == text

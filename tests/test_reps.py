@@ -148,7 +148,7 @@ def test_beta_methods_agree():
 def test_beta_sum_rule():
     for n in range(3, 7):
         for S in all_rank_sets(n):
-            total = SymFunc("p", {})
+            total = SymFunc()
             for size in range(len(S) + 1):
                 for T in itertools.combinations(S, size):
                     total = total + homology_characteristic(n, T)
@@ -271,7 +271,7 @@ def test_simsun_row_sums_are_euler():
 def test_simsun_orbit_decomposition():
     for n in range(4, 8):
         alpha = chain_characteristic(n, range(1, n - 1))
-        total = SymFunc("p", {})
+        total = SymFunc()
         for i in range(1, n // 2 + 1):
             c = simsun(i, n)
             if c:
@@ -334,7 +334,7 @@ def test_even_block_dimension_is_subposet_betti():
 def test_ek_numbers_nonnegative_and_identity():
     for n in range(2, 7):
         r = even_block_characteristic(n)
-        total = SymFunc("p", {})
+        total = SymFunc()
         for i in range(2, n + 1):
             c = ek_number(i, n)
             assert c >= 0, (i, n)
