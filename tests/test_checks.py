@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from parthom.checks import (
@@ -7,7 +10,7 @@ from parthom.checks import (
     subposet_homology_report,
 )
 from parthom.errors import BLOCK_SIZE_FAMILIES
-from parthom.reps import multiplicities
+from parthom.reps import Multiplicities, multiplicities
 
 
 def test_conj_39_verdict():
@@ -91,6 +94,27 @@ def test_stability_identities_hold_along_the_way(monkeypatch):
     assert "a({1} u (S+1), n+1) == a'(S, n)" in names
     assert "b'(S, n) == b({1} u (S+1), n+1) + b(S+1, n+1)" in names
     assert "b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)" in names
+
+
+def test_stability_failures_keep_their_payload(monkeypatch):
+    # wrong multiplicities for odd-sized rank sets and wrong Schur
+    # multiplicities fail every report; the payloads, failures in order,
+    # are pinned
+    import parthom.checks as checks
+
+    def skewed(n, ranks):
+        m = multiplicities(n, ranks)
+        return Multiplicities(*(v + n % 3 for v in m)) if len(ranks) % 2 else m
+
+    monkeypatch.setattr(checks, "multiplicities", skewed)
+    monkeypatch.setattr(checks, "schur_multiplicity", lambda values, lam: sum(lam) % 4)
+    payloads = [stability_report(ranks, k, n_max)
+                for ranks in ((1,), (2,), (1, 3), (2, 4), (3,))
+                for k in range(4) for n_max in (8, 11, 13)]
+    assert [rep["passed"] for rep in payloads] == [False] * 60
+    text = "\n".join(json.dumps(rep, sort_keys=True) for rep in payloads)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "0bac47cc634081ebc5c441f387b16685eb32f455963505817c42ed8e17d09648")
 
 
 def test_stability_rejects_empty_rank_set():
