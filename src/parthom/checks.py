@@ -9,6 +9,7 @@ a report that asserts nothing has ``"passed"`` None, never True.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 from .errors import BLOCK_SIZE_FAMILIES, BOUNDS, ConcentrationError, refuse_past
@@ -70,21 +71,15 @@ class Verdict:
 # ---------------------------------------------------------------------------
 # stability across the ground-set size
 
-def _stable_b(ranks: tuple[int, ...]) -> int:
-    """Limiting trivial multiplicity of a rank set, evaluated at the onset."""
-    n = max(2 * max(ranks), max(ranks) + 2)
-    return multiplicities(n, ranks).b
-
-
 def stability_report(ranks, k: int, n_max: int) -> dict:
     """Track multiplicities of one rank-set pattern as the ground set grows.
 
     For each n the report records the four trivial-type multiplicities of
     the chain and homology modules together with the two-row and hook Schur
     multiplicities with k boxes below the first row.  It detects the onset
-    of stabilization for every tracked column and asserts the onset is at
-    most 2 max(S) + k; the shift identities relating a', b' to shifted rank
-    sets are verified at every n along the way.
+    of stabilization for every tracked column and asserts it is at most the
+    column's bound, 2 max(S) + k for the Schur columns; the shift identities
+    relating a', b' to shifted rank sets are verified at every n along the way.
     """
     ranks = tuple(sorted(set(int(r) for r in ranks)))
     if not ranks:
@@ -101,75 +96,62 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
     refuse_past("degree", n_max + 1, f"--max-n {n_max} needs degree {n_max + 1} for the "
                 f"shift identities; the supported bound is {{limit}}")
     verdict = Verdict("stability")
-    onset_bound = 2 * max(ranks) + k
+    # one memo per report, over the name as bound when the report runs, for
+    # the rows, the shift identities and the stable values
+    mult = cache(multiplicities)
+    base = 2 * max(ranks)
+    shifted = tuple(r + 1 for r in ranks)
     rows: list[dict] = []
+    # a column's onset is the first n of its last run of equal values; the
+    # bound is clamped to the smallest legal ground size
     onsets: dict[str, int] = {}
-
-    tracked: dict[str, dict[int, int]] = {}
+    bounds: dict[str, int] = {}
     for n in range(n_min, n_max + 1):
-        alpha = class_values(n, ranks)
-        beta = class_values(n, ranks, homology=True)
-        m = multiplicities(n, ranks)
-        row = {"n": n, "a": m.a, "a_prime": m.a_prime, "b": m.b, "b_prime": m.b_prime}
-        if n - k >= k:
-            two_row = (n - k, k) if k else (n,)
-            row["alpha_two_row"] = schur_multiplicity(alpha, two_row)
-            row["beta_two_row"] = schur_multiplicity(beta, two_row)
-        if n - k >= 1:
-            hook = (n - k,) + (1,) * k
-            row["alpha_hook"] = schur_multiplicity(alpha, hook)
-            row["beta_hook"] = schur_multiplicity(beta, hook)
-        rows.append(row)
-        for key, val in row.items():
-            if key != "n":
-                tracked.setdefault(key, {})[n] = val
+        m = mult(n, ranks)
+        # (column, value, onset bound): the trivial columns stabilize by
+        # 2 max(S), the primed ones (a one-box skew) by 2 max(S) + 1, and
+        # the k-box Schur columns by 2 max(S) + k
+        columns = [("a", m.a, base), ("a_prime", m.a_prime, base + 1),
+                   ("b", m.b, base), ("b_prime", m.b_prime, base + 1)]
+        modules = (("alpha", class_values(n, ranks)),
+                   ("beta", class_values(n, ranks, homology=True)))
+        for shape, lam, shown in (("two_row", (n - k, k) if k else (n,), n - k >= k),
+                                  ("hook", (n - k,) + (1,) * k, n - k >= 1)):
+            if shown:
+                columns += [(f"{module}_{shape}", schur_multiplicity(values, lam), base + k)
+                            for module, values in modules]
+        for key, value, bound in columns:
+            if key not in onsets or rows[-1][key] != value:
+                onsets[key] = n
+            bounds[key] = max(bound, n_min)
+        rows.append({"n": n, **{key: value for key, value, _ in columns}})
 
         # shift identities, each at this n
-        shifted = tuple(r + 1 for r in ranks)
-        up = multiplicities(n + 1, (1,) + shifted)
+        up = mult(n + 1, (1,) + shifted)
         verdict.check("a({1} u (S+1), n+1) == a'(S, n)", up.a == m.a_prime,
                       n=n, lhs=up.a, rhs=m.a_prime)
-        rhs = up.b + multiplicities(n + 1, shifted).b
+        rhs = up.b + mult(n + 1, shifted).b
         verdict.check("b'(S, n) == b({1} u (S+1), n+1) + b(S+1, n+1)", m.b_prime == rhs,
                       n=n, lhs=m.b_prime, rhs=rhs)
         if 1 not in ranks:
-            down = tuple(r - 1 for r in ranks)
-            lhs28 = multiplicities(n, (1,) + ranks).b + m.b
-            rhs28 = multiplicities(n - 1, down).b_prime if n - 1 >= max(down) + 2 else None
-            if rhs28 is not None:
-                verdict.check("b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)", lhs28 == rhs28,
-                              n=n, lhs=lhs28, rhs=rhs28)
+            # n - 1 >= max(S - 1) + 2 holds from n = max(S) + 2 on
+            lhs = mult(n, (1,) + ranks).b + m.b
+            rhs = mult(n - 1, tuple(r - 1 for r in ranks)).b_prime
+            verdict.check("b(S u {1}, n) + b(S, n) == b'(S - 1, n - 1)", lhs == rhs,
+                          n=n, lhs=lhs, rhs=rhs)
 
-    # stabilization onsets within the tested window.  The trivial columns
-    # stabilize by 2 max(S), the primed ones (a one-box skew) by
-    # 2 max(S) + 1, and the k-box Schur columns by 2 max(S) + k; every
-    # bound is clamped to the smallest legal ground size
-    base = 2 * max(ranks)
-    column_bounds = {
-        "a": base, "b": base,
-        "a_prime": base + 1, "b_prime": base + 1,
-        "alpha_two_row": base + k, "beta_two_row": base + k,
-        "alpha_hook": base + k, "beta_hook": base + k,
-    }
-    for key, series in tracked.items():
-        ns = sorted(series)
-        onset = ns[-1]
-        for pos in range(len(ns) - 1, -1, -1):
-            if series[ns[pos]] != series[ns[-1]]:
-                break
-            onset = ns[pos]
-        onsets[key] = onset
-        bound = max(column_bounds[key], n_min)
-        if bound <= n_max:
-            verdict.check(f"onset({key}) within its stability bound", onset <= bound,
-                          column=key, onset=onset, bound=bound)
+    for key, onset in onsets.items():
+        if bounds[key] <= n_max:
+            verdict.check(f"onset({key}) within its stability bound", onset <= bounds[key],
+                          column=key, onset=onset, bound=bounds[key])
 
-    # stable reflection multiplicity: b' - b against the shifted stable values
-    if onset_bound + 1 <= n_max:
-        shifted = tuple(r + 1 for r in ranks)
-        stable_val = _stable_b((1,) + shifted) + _stable_b(shifted) - _stable_b(ranks)
+    # stable reflection multiplicity: b' - b against the shifted stable
+    # values, each read at the onset of its b column
+    if base + k < n_max:
+        stable_val = (mult(base + 2, (1,) + shifted).b + mult(base + 2, shifted).b
+                      - mult(max(base, n_min), ranks).b)
         for row in rows:
-            if row["n"] >= 2 * max(ranks) + 1:
+            if row["n"] > base:
                 lhs = row["b_prime"] - row["b"]
                 verdict.check("stable reflection multiplicity", lhs == stable_val,
                               n=row["n"], lhs=lhs, rhs=stable_val)
@@ -181,7 +163,7 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
         "n_max": n_max,
         "rows": rows,
         "onsets": onsets,
-        "onset_bound": onset_bound,
+        "onset_bound": base + k,
         "passed": verdict.passed,
         "failures": verdict.failures,
     }

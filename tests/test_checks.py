@@ -117,6 +117,24 @@ def test_stability_failures_keep_their_payload(monkeypatch):
         "0bac47cc634081ebc5c441f387b16685eb32f455963505817c42ed8e17d09648")
 
 
+def test_stability_computes_each_multiplicity_once_per_report(monkeypatch):
+    # the rows, the shift identities and the stable values share one memo,
+    # which lasts one report
+    import parthom.checks as checks
+
+    calls = []
+
+    def counted(n, ranks):
+        calls.append((ranks, n))
+        return multiplicities(n, ranks)
+
+    monkeypatch.setattr(checks, "multiplicities", counted)
+    for _ in range(2):
+        calls.clear()
+        assert stability_report((2, 3), 1, 8)["passed"] is True
+        assert len(calls) == len(set(calls)) == 20
+
+
 def test_stability_rejects_empty_rank_set():
     with pytest.raises(ValueError):
         stability_report((), 0, 6)
