@@ -333,12 +333,9 @@ def is_positive(f: SymFunc, basis: str) -> bool:
 
 
 def hook_schur(n: int, k: int) -> SymFunc:
-    """Schur function of the hook (n-k, 1^k) via the alternating sum
-    of products h_{n-i} e_i for i = 0..k."""
+    """Schur function of the hook (n-k, 1^k): the sum over mu of
+    chi^(n-k,1^k)(mu) p_mu / z_mu."""
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got n={n}, k={k}")
-    acc: Terms = {}
-    for i in range(k + 1):
-        c = Fraction(-1 if (k - i) % 2 else 1, factorial(n - i) * factorial(i))
-        _add_into(acc, _merge_mul(dict(_h_in_p(n - i)), _twist(dict(_h_in_p(i)))), c)
-    return SymFunc(acc)
+    hook = (n - k,) + (1,) * k
+    return SymFunc({mu: Fraction(character(hook, mu), zee(mu)) for mu in partitions_of(n)})
