@@ -213,7 +213,8 @@ def _modular_size(sizes) -> int | None:
 
 def rank_selected_view(n: int, ranks) -> PosetView:
     ranks = rank_set(n, ranks)
-    return PosetView(n, "ranks:" + ",".join(map(str, ranks)), ranks)
+    # the empty selection is named as the CLI reads it
+    return PosetView(n, "ranks:" + (",".join(map(str, ranks)) or "-"), ranks)
 
 
 #: the predicate on (block sizes, k) of each of BLOCK_SIZE_FAMILIES, in its

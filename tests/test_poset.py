@@ -4,9 +4,10 @@ from math import factorial
 
 import pytest
 
-from parthom.errors import FeasibilityError, parse_rank_set
+from parthom.errors import BLOCK_SIZE_FAMILIES, FeasibilityError, parse_rank_set
 from parthom.partitions import multiplicities as part_mults
 from parthom.poset import fixed_chain_count, maximal_chains, parse_view, rank_selected_view
+from parthom.reps import rank_subsets
 from parthom.setparts import SetPartition, act, canonical_permutation
 from test_chain_sums import oracle_maximal_chains, set_partitions
 
@@ -210,6 +211,22 @@ def test_parse_view_round_trip():
     assert v.spec == "ranks:1,2,3"
     with pytest.raises(ValueError):
         parse_view(6, "bogus")
+
+
+def test_every_described_view_parses_back_to_itself():
+    # the spec part of describe() is one the CLI accepts, the empty rank
+    # selection included
+    for n in range(4, 8):
+        specs = ["full", *(f"ranks:{','.join(map(str, S)) or '-'}"
+                           for S in rank_subsets(range(1, n - 1)))]
+        specs += [f"{name}:k={k}" for name in BLOCK_SIZE_FAMILIES for k in range(2, n)]
+        if n % 2 == 0:
+            specs += ["even", *(f"even-top:k={k}" for k in range(1, n // 2))]
+        for spec in specs:
+            view = parse_view(n, spec)
+            again = parse_view(n, view.describe().rsplit(",n=", 1)[0])
+            assert again.describe() == view.describe(), (n, spec)
+            assert again.elements() == view.elements(), (n, spec)
 
 
 def test_parse_view_refusals():
