@@ -146,7 +146,7 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
                           column=key, onset=onset, bound=bounds[key])
 
     # stable reflection multiplicity: b' - b against the shifted stable
-    # values, each read at the onset of its b column
+    # values, each read at the bound of its b column
     if base + k < n_max:
         stable_val = (mult(base + 2, (1,) + shifted).b + mult(base + 2, shifted).b
                       - mult(max(base, n_min), ranks).b)
