@@ -78,7 +78,10 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
     the chain and homology modules together with the two-row and hook Schur
     multiplicities with k boxes below the first row.  It detects the onset
     of stabilization for every tracked column and asserts it is at most the
-    column's bound, 2 max(S) + k for the Schur columns; the shift identities
+    column's bound, 2 max(S) + k for the Schur columns, or the first n at
+    which the column is shown if that is later: max(S) + 2 for every column,
+    and |lambda| + lambda_1 for the k boxes lambda below the first row, so 2k
+    for the two-row column and k + 1 for the hook.  The shift identities
     relating a', b' to shifted rank sets are verified at every n along the way.
     """
     ranks = tuple(sorted(set(int(r) for r in ranks)))
@@ -102,8 +105,8 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
     base = 2 * max(ranks)
     shifted = tuple(r + 1 for r in ranks)
     rows: list[dict] = []
-    # a column's onset is the first n of its last run of equal values; the
-    # bound is clamped to the smallest legal ground size
+    # a column's onset is the first n of its last run of equal values; its
+    # bound is clamped to the first n at which it is shown
     onsets: dict[str, int] = {}
     bounds: dict[str, int] = {}
     for n in range(n_min, n_max + 1):
@@ -123,7 +126,7 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
         for key, value, bound in columns:
             if key not in onsets or rows[-1][key] != value:
                 onsets[key] = n
-            bounds[key] = max(bound, n_min)
+            bounds.setdefault(key, max(bound, n))
         rows.append({"n": n, **{key: value for key, value, _ in columns}})
 
         # shift identities, each at this n

@@ -99,7 +99,7 @@ def test_stability_identities_hold_along_the_way(monkeypatch):
 def test_stability_failures_keep_their_payload(monkeypatch):
     # wrong multiplicities for odd-sized rank sets and wrong Schur
     # multiplicities fail every report; the payloads, failures in order,
-    # are pinned
+    # are pinned (at S = (1), k = 3 the two-row witnesses carry bound 2k = 6)
     import parthom.checks as checks
 
     def skewed(n, ranks):
@@ -114,7 +114,7 @@ def test_stability_failures_keep_their_payload(monkeypatch):
     assert [rep["passed"] for rep in payloads] == [False] * 60
     text = "\n".join(json.dumps(rep, sort_keys=True) for rep in payloads)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "0bac47cc634081ebc5c441f387b16685eb32f455963505817c42ed8e17d09648")
+        "80cef7b1f00bc1d9d15f8fcb4f0209050e7cf09fbe7cd15584c4053c3981d459")
 
 
 def test_stability_computes_each_multiplicity_once_per_report(monkeypatch):

@@ -715,9 +715,9 @@ def test_out_file(tmp_path, capsys):
 ])
 def test_an_option_the_family_never_reads_exit_2(capsys, monkeypatch, argv, option):
     # refused before any computation: no result is ever assembled
-    import parthom.cli as cli
+    import parthom.commands as commands
 
-    monkeypatch.setattr(cli, "_RESULTS", {})
+    monkeypatch.setattr(commands, "RESULTS", {})
     code = main([*argv.split(), "--no-cache"])
     captured = capsys.readouterr()
     command, _, family = argv.split()[:3]

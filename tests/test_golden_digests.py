@@ -50,10 +50,11 @@ def _requests() -> list[str]:
     out += [f"report --family {family} --n 5 --k {k}"
             for family, k in (("le", 4), ("le", 3), ("ne", 3))]
     # the two-row column is s_(n) at k = 0; 1 in S skips identity (iii); at
-    # k = 3 the hook columns appear before the two-row ones
+    # k = 3 the hook columns appear before the two-row ones; at S = 1, k = 3
+    # the two-row columns first show at n = 2k, past 2 max(S) + k
     out += [f"report --family stability --ranks {ranks} --k {k} --max-n {n_max}"
             for ranks, k, n_max in (("2,3", 1, 8), ("1", 0, 6), ("1,3", 2, 10), ("2", 3, 12),
-                                    ("1,2,4", 1, 11), ("2,3", 0, 9))]
+                                    ("1,2,4", 1, 11), ("2,3", 0, 9), ("1", 3, 9))]
     return [f"{request} --format {fmt}" for request in out for fmt in FORMATS]
 
 
@@ -68,7 +69,7 @@ def _run(request: str) -> dict:
 
 
 def test_golden_file_covers_every_request():
-    assert len(REQUESTS) == 252
+    assert len(REQUESTS) == 255
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(REQUESTS)
 
 
