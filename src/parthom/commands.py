@@ -2,20 +2,20 @@
 that checks the request, computes it and returns its cacheable payload dict.
 
 :mod:`parthom.cli` executes this module only on a cache miss, so a hit
-compiles none of it.  Library modules are named through the lazy modules of
-``cli._lazy`` at call time, so a request refused here executes none of them.
+compiles none of it.  The library modules imported here are the lazy
+modules that :mod:`parthom.cli` registered before this one runs, named at
+call time, so a request refused here executes none of them.  Importing
+them from the package rather than through ``cli`` leaves ``cli`` executed
+once, also when it runs as ``__main__``.
 """
 
 from __future__ import annotations
 
-from .cli import _lazy
+from . import checks, poset, reps, topology
 from .errors import CHAIN_REFUSAL, SCHUR_REFUSAL, parse_rank_set, refuse_ground, refuse_past
 
-checks, poset, reps, symfunc, topology = map(_lazy, (
-    "checks", "poset", "reps", "symfunc", "topology"))
 
-
-def _symfunc_payload(f: symfunc.SymFunc, basis: str) -> dict:
+def _symfunc_payload(f, basis: str) -> dict:
     # the dimension is read off the powersum terms, whatever basis prints
     return {"symfunc": f.in_basis(basis).to_json_dict(), "dimension": str(f.dimension())}
 
@@ -29,20 +29,21 @@ def _refuse_degree(degree: int, basis: str) -> None:
 
 
 def _result_sf(args) -> dict:
-    _refuse_degree(2 * args.n if args.family == "reven" else args.n, args.basis)
+    degree = 2 * args.n if args.family == "reven" else args.n
+    _refuse_degree(degree, args.basis)
     if args.family == "lie":
-        f = reps.lie_character(args.n)
+        values = reps.lie_character(args.n)
     elif args.family == "whitehouse":
         if args.k is None:
             raise ValueError("whitehouse needs --k")
-        f = reps.whitehouse_module(args.n, args.k)
+        values = reps.whitehouse_module(args.n, args.k)
     elif args.family == "reven":
-        f = reps.even_block_characteristic(args.n)
+        values = reps.even_block_characteristic(args.n)
     else:
         if args.k is None:
             raise ValueError("hook needs --k")
-        f = symfunc.hook_schur(args.n, args.k)
-    return _symfunc_payload(f, args.basis)
+        values = reps.hook_character(args.n, args.k)
+    return _symfunc_payload(reps.characteristic(degree, values), args.basis)
 
 
 def _result_alpha_beta(args) -> dict:

@@ -18,15 +18,18 @@ most two, the coefficients of the even-block-count homology, and the
 even-block characteristic is assembled from its coefficients alone;
 ``check --suite even`` checks it against the recurrence.
 
-Only the four functions that build a symmetric function import
-:mod:`parthom.symfunc`; the class values never need it.
+Every module here, the named ones included, is integer class values over
+``partitions_of(n)``, each named one by a closed form in the class: a
+product with h_1^r reads the class with r fewer fixed points, and
+restriction the class with one more.  Only :func:`characteristic`, the
+one way to a symmetric function, imports :mod:`parthom.symfunc`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul, sub
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -112,7 +115,14 @@ def characteristic(n: int, values) -> SymFunc:
 
     from .symfunc import SymFunc
 
-    return SymFunc({mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values)})
+    return SymFunc({mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values) if v})
+
+
+def restriction(n: int, values) -> tuple[int, ...]:
+    """Class values over ``partitions_of(n - 1)`` of the restriction of
+    class values of degree n to the point stabilizer: the value at nu u (1)."""
+    at = dict(zip(partitions_of(n), values))
+    return tuple(at[nu + (1,)] for nu in partitions_of(n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +177,7 @@ def _block_orbit_counts(nu: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...
 
 
 # ---------------------------------------------------------------------------
-# the top homology of the full lattice
+# the top homology of the full lattice, and the hooks
 
 @lru_cache(maxsize=None)
 def _number_mobius(d: int) -> int:
@@ -186,25 +196,31 @@ def _number_mobius(d: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def lie_character(n: int) -> SymFunc:
-    """Characteristic of the top homology of the full proper part: the sign
+def lie_character(n: int) -> tuple[int, ...]:
+    """Class values of the top homology of the full proper part, the sign
     twist of the induction of a faithful character of the cyclic group of
-    order n, i.e. omega of (1/n) sum over d | n of moebius(d) p_d^(n/d)."""
-    from fractions import Fraction
-
-    from .symfunc import SymFunc
-
+    order n: nonzero only at the classes (d^m) with n = dm, where it is
+    (-1)^(n-m) moebius(d) d^(m-1) (m-1)!."""
     if n < 1:
         raise ValueError("n must be positive")
-    terms = {}
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        mu = _number_mobius(d)
-        if mu:
-            terms[(d,) * (n // d)] = Fraction(mu, n)
-    return SymFunc(terms).sign_twist()
+    return tuple(map(_lie_value, partitions_of(n)))
+
+
+def _lie_value(mu: tuple[int, ...]) -> int:
+    """The value of lie(|mu|) at mu."""
+    d, m = mu[0], len(mu)
+    if mu[-1] != d:
+        return 0
+    return (-1) ** (d * m - m) * _number_mobius(d) * d ** (m - 1) * factorial(m - 1)
+
+
+def hook_character(n: int, k: int) -> tuple[int, ...]:
+    """The irreducible character of the hook (n-k, 1^k), its row of the
+    character table."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"need 0 <= k <= n-1, got n={n}, k={k}")
+    hook = (n - k,) + (1,) * k
+    return tuple(character(hook, mu) for mu in partitions_of(n))
 
 
 # ---------------------------------------------------------------------------
@@ -329,30 +345,44 @@ def ek_number(k: int, n: int) -> int:
     )
 
 
-def even_block_characteristic(n: int) -> SymFunc:
-    """Top homology characteristic of the even-block-count subposet of the
-    lattice on 2n points, sum_i b_i(n) h_2^i h_1^(2n-2i).  ``check --suite
-    even`` compares it with the homology module of the even rank selection
-    computed by the plethystic recurrence."""
-    from .symfunc import from_h
-
+def even_block_characteristic(n: int) -> tuple[int, ...]:
+    """Class values over ``partitions_of(2n)`` of the top homology of the
+    even-block-count subposet of the lattice on 2n points, sum_i b_i(n)
+    h_2^i h_1^(2n-2i).  ``check --suite even`` compares it with the homology
+    module of the even rank selection computed by the recurrence."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return from_h({(2,) * i + (1,) * (2 * n - 2 * i): even_block_multiplicity(i, n)
-                   for i in range(2, n + 1)})
+    return pair_orbit_values(2 * n, {i: even_block_multiplicity(i, n) for i in range(2, n + 1)})
+
+
+def pair_orbit_values(n: int, weights: dict[int, int]) -> tuple[int, ...]:
+    """Class values over ``partitions_of(n)`` of sum_i weights[i] h_2^i
+    h_1^(n-2i).  At mu with t 2-cycles, f fixed points and no longer cycle,
+    h_2^i h_1^(n-2i) counts the fixed tabloids: the t 2-cycles fill t of
+    the i blocks of size 2, in i!/(i-t)! ways, and the fixed points fill
+    the rest, in f!/2^(i-t) ways."""
+    values = []
+    for mu in partitions_of(n):
+        t = mu.count(2)
+        f = n - 2 * t
+        values.append(0 if mu[0] > 2 else sum(
+            c * perm(i, t) * factorial(f) // 2 ** (i - t) for i, c in weights.items() if i >= t))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
 # Whitehouse modules
 
-def whitehouse_module(n: int, k: int) -> SymFunc:
-    """The (generalised) Whitehouse module: lie(k) h_1^(n-k) - lie(n).
+def whitehouse_module(n: int, k: int) -> tuple[int, ...]:
+    """Class values of the (generalised) Whitehouse module lie(k) h_1^(n-k)
+    - lie(n): at mu with f fixed points, lie(k) at mu less n-k of them,
+    times f!/(f-n+k)!, minus lie(n) at mu.
 
     A true module for 2 <= k <= n-1; at k = n-1 its restriction one degree
     down is lie(n-1) again.
     """
     if not 2 <= k <= n - 1:
         raise ValueError(f"need 2 <= k <= n-1, got n={n}, k={k}")
-    from .symfunc import powersum
-
-    return lie_character(k) * powersum((1,) * (n - k)) - lie_character(n)
+    r = n - k
+    return tuple((_lie_value(mu[:len(mu) - r]) * perm(f, r) if (f := mu.count(1)) >= r else 0)
+                 - _lie_value(mu) for mu in partitions_of(n))

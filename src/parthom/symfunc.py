@@ -33,6 +33,11 @@ part of f[h_1 + h_2 + ...], is the degree-n part of ``plethysm`` into
 h_1 + ... + h_n.  The class-value recurrence of :mod:`parthom.reps`
 counts the matrix of that map itself, without this module.
 
+No command builds a module here: every ``SymFunc`` a command holds is
+made from class values by ``reps.characteristic`` and only read out.  The
+powersum constructions of the named modules (``powersum``, ``sign_twist``,
+``d_dp1``, ``hook_schur``) are test oracles in ``tests/test_class_values.py``.
+
 Coefficients must be rational: a float (whose binary expansion
 ``Fraction`` would keep) is refused with ``TypeError``.
 
@@ -253,25 +258,9 @@ class SymFunc:
             a, b = b, a
         return sum((c * b[lam] * zee(lam) for lam, c in a.items() if lam in b), Fraction(0))
 
-    def d_dp1(self) -> "SymFunc":
-        """Formal partial derivative with respect to p_1 (restriction to the
-        next smaller symmetric group): p_lam with m parts 1 goes to m p_lam'
-        for lam' = lam less one part 1, which is its last part."""
-        return SymFunc({lam[:-1]: lam.count(1) * c
-                        for lam, c in self.terms.items() if lam and lam[-1] == 1})
-
-    def sign_twist(self) -> "SymFunc":
-        """The involution sending p_k to (-1)^(k-1) p_k, i.e. tensoring the
-        underlying module with the sign representation."""
-        return SymFunc(_twist(self.terms))
-
 
 # ---------------------------------------------------------------------------
 # constructors
-
-def powersum(spec, coeff=1) -> SymFunc:
-    return SymFunc({check_partition(spec): coeff})
-
 
 def from_h(terms) -> SymFunc:
     """The function sum of c h_lam over the (lam, c) of *terms*, in powersums."""
@@ -325,17 +314,9 @@ def plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# positivity and hook Schur functions
+# positivity
 
 def is_positive(f: SymFunc, basis: str) -> bool:
     """True when every coefficient of *f* in *basis* is a nonnegative integer."""
     return all(c >= 0 and c.denominator == 1 for c in f.in_basis(basis).terms.values())
 
-
-def hook_schur(n: int, k: int) -> SymFunc:
-    """Schur function of the hook (n-k, 1^k): the sum over mu of
-    chi^(n-k,1^k)(mu) p_mu / z_mu."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"need 0 <= k <= n-1, got n={n}, k={k}")
-    hook = (n - k,) + (1,) * k
-    return SymFunc({mu: Fraction(character(hook, mu), zee(mu)) for mu in partitions_of(n)})

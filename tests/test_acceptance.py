@@ -17,6 +17,8 @@ from parthom.checks import (
 from parthom.poset import parse_view, rank_selected_view
 from parthom.reps import (
     chain_characteristic,
+    characteristic,
+    class_values,
     ek_number,
     euler_number,
     even_block_characteristic,
@@ -24,6 +26,7 @@ from parthom.reps import (
     homology_characteristic,
     lie_character,
     multiplicities,
+    restriction,
     simsun,
 )
 from parthom.symfunc import SymFunc, is_positive
@@ -41,9 +44,9 @@ def test_01_top_homology():
     """Top homology is the sign-twisted cyclic induction; its restriction is
     the regular representation."""
     for n in range(3, 8):
-        beta = homology_characteristic(n, range(1, n - 1))
+        beta = class_values(n, range(1, n - 1), homology=True)
         assert beta == lie_character(n), n
-        restricted = beta.d_dp1()
+        restricted = characteristic(n - 1, restriction(n, beta))
         assert restricted == P((1,) * (n - 1)), n
         for lam, c in restricted.in_basis("s").terms.items():
             assert c == character(lam, (1,) * (n - 1)), (n, lam)
@@ -116,7 +119,7 @@ def test_07_even_block_module():
     agrees with the rank-selected recurrence, is supported on involutions,
     and its auxiliary numbers behave."""
     for n in (2, 3, 4):
-        assembled = even_block_characteristic(n)
+        assembled = characteristic(2 * n, even_block_characteristic(n))
         independent = homology_characteristic(2 * n, range(2, 2 * n - 1, 2))
         assert assembled == independent, n
         assert supported_on_involutions(assembled, 2 * n), n
@@ -124,7 +127,7 @@ def test_07_even_block_module():
         for i in range(2, n + 1):
             assert even_block_multiplicity(i, n) > 0, (i, n)
     for n in range(2, 7):
-        r = even_block_characteristic(n)
+        r = characteristic(2 * n, even_block_characteristic(n))
         alt = SymFunc()
         for i in range(2, n + 1):
             c = ek_number(i, n)

@@ -16,7 +16,12 @@ independent oracles.
   by Hall duality;
 * alpha and beta class values against the symmetric-function recurrence,
   rebuilt here on the ``Fraction`` oracle of p_lam[h_1 + h_2 + ...];
-* the integer pairing against the orthogonality of irreducible characters.
+* the integer pairing against the orthogonality of irreducible characters;
+* the named modules (lie, Whitehouse, even-block, hooks) and restriction
+  to the point stabilizer against their powersum constructions, kept here
+  as the named oracles ``powersum``, ``sign_twist``, ``d_dp1``,
+  ``hook_schur``, ``oracle_lie``, ``oracle_whitehouse`` and
+  ``oracle_even_block``.
 """
 
 import fractions
@@ -35,13 +40,17 @@ from parthom.reps import (
     _fixed_partition_counts,
     characteristic,
     class_values,
+    even_block_characteristic,
+    even_block_multiplicity,
+    hook_character,
     lie_character,
     rank_subsets,
+    restriction,
     schur_multiplicity,
     whitehouse_module,
 )
 from parthom.setparts import act, canonical_permutation
-from parthom.symfunc import SymFunc, _h_in_p, _p_in, _p_in_h, from_h, plethysm, powersum
+from parthom.symfunc import SymFunc, _h_in_p, _p_in, _p_in_h, from_h, plethysm
 from test_chain_sums import set_partitions
 
 #: the integer tables are checked exactly for every lam with |lam| <= n <= KERNEL_N
@@ -93,6 +102,24 @@ def oracle_p_in_h_sum(lam: tuple, n: int) -> dict:
         head = {tuple(i * k for i in mu): Fraction(1, zee(mu)) for mu in partitions_of(d // k)}
         _add(acc, _mul(head, oracle_p_in_h_sum(rest, n - d)))
     return {key: v for key, v in acc.items() if v}
+
+
+def powersum(spec, coeff=1) -> SymFunc:
+    """coeff p_spec."""
+    return SymFunc({check_partition(spec): coeff})
+
+
+def sign_twist(f: SymFunc) -> SymFunc:
+    """omega, p_k -> (-1)^(k-1) p_k: the tensor product with the sign
+    representation."""
+    return SymFunc({lam: -c if (sum(lam) - len(lam)) % 2 else c for lam, c in f.terms.items()})
+
+
+def d_dp1(f: SymFunc) -> SymFunc:
+    """d/dp_1, restriction to the next smaller symmetric group: p_lam with m
+    parts 1 goes to m p_lam' for lam' = lam less one part 1, its last part."""
+    return SymFunc({lam[:-1]: lam.count(1) * c
+                    for lam, c in f.terms.items() if lam and lam[-1] == 1})
 
 
 def oracle_s_in_p(lam: tuple) -> dict:
@@ -321,8 +348,62 @@ def test_schur_coefficients_match_the_integer_pairing(n):
     # character table, and here they must agree on every module
     modules = [class_values(n, ranks, homology)
                for ranks in rank_subsets(range(1, n - 1)) for homology in (False, True)]
-    modules.append(_values_of(lie_character(n), n))
-    modules += [_values_of(whitehouse_module(n, k), n) for k in range(2, n)]
+    modules.append(lie_character(n))
+    modules += [whitehouse_module(n, k) for k in range(2, n)]
     for values in modules:
         expected = {lam: m for lam in partitions_of(n) if (m := schur_multiplicity(values, lam))}
         assert characteristic(n, values).in_basis("s").terms == expected, (n, values)
+
+
+# ---------------------------------------------------------------------------
+# the named modules against their powersum constructions
+
+def _mobius(d: int) -> int:
+    """The number-theoretic Moebius function, from sum over e | d of mu(e) = [d = 1]."""
+    return 1 if d == 1 else -sum(_mobius(e) for e in range(1, d) if d % e == 0)
+
+
+def hook_schur(n: int, k: int) -> SymFunc:
+    """s_(n-k, 1^k) in powersums."""
+    return SymFunc(oracle_s_in_p((n - k,) + (1,) * k))
+
+
+def oracle_lie(n: int) -> SymFunc:
+    """omega of (1/n) sum over d | n of mu(d) p_d^(n/d)."""
+    return sign_twist(SymFunc({(d,) * (n // d): Fraction(_mobius(d), n)
+                               for d in range(1, n + 1) if n % d == 0}))
+
+
+def oracle_whitehouse(n: int, k: int) -> SymFunc:
+    """lie(k) p_1^(n-k) - lie(n)."""
+    return oracle_lie(k) * powersum((1,) * (n - k)) - oracle_lie(n)
+
+
+def oracle_even_block(n: int) -> SymFunc:
+    """sum_i b_i(n) h_2^i h_1^(2n-2i)."""
+    return from_h({(2,) * i + (1,) * (2 * n - 2 * i): even_block_multiplicity(i, n)
+                   for i in range(2, n + 1)})
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_named_modules_match_their_powersum_oracles(n):
+    modules = [(lie_character(n), oracle_lie(n))]
+    modules += [(whitehouse_module(n, k), oracle_whitehouse(n, k)) for k in range(2, n)]
+    modules += [(hook_character(n, k), hook_schur(n, k)) for k in range(n)]
+    for values, oracle in modules:
+        assert all(type(v) is int for v in values)
+        assert values == _values_of(oracle, n), (n, values)
+        # restriction by the value at mu u (1) is d/dp_1
+        assert restriction(n, values) == _values_of(d_dp1(oracle), n - 1), (n, values)
+    if 4 <= 2 * n <= 16:
+        assert even_block_characteristic(n) == _values_of(oracle_even_block(n), 2 * n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-50, 50), min_size=len(partitions_of(n)),
+                         max_size=len(partitions_of(n))))))
+def test_restriction_is_d_dp1_of_random_class_values(case):
+    n, values = case
+    expected = _values_of(d_dp1(characteristic(n, values)), n - 1)
+    assert restriction(n, values) == expected

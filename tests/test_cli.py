@@ -188,7 +188,8 @@ def test_suite_degree_refused_before_first_check(capsys, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("homology_characteristic", "chain_characteristic"):
+    for name in ("homology_characteristic", "class_values", "even_block_characteristic",
+                 "pair_orbit_values"):
         monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
     monkeypatch.setitem(errors.BOUNDS, "degree", 6)
     for suite, max_n, degree in (("conj-3.7", "4", 8), ("even", "4", 8), ("orbit", "7", 7)):
@@ -750,7 +751,8 @@ def test_schur_conversion_refused_before_the_module(capsys, monkeypatch, argv, d
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("class_values", "lie_character", "even_block_characteristic"):
+    for name in ("class_values", "lie_character", "whitehouse_module", "even_block_characteristic",
+                 "hook_character"):
         monkeypatch.setattr(reps, name, counted(getattr(reps, name)))
     code = main([*argv.split(), "--no-cache"])
     captured = capsys.readouterr()

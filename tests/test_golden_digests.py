@@ -79,6 +79,41 @@ def test_every_command_family_prints_its_golden_bytes():
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:3]}"
 
 
+#: one request of every command family, each suite and both report kinds
+ARITHMETIC_FREE = [
+    "sf --family lie --n 6 --basis s", "sf --family whitehouse --n 6 --k 3 --basis h",
+    "sf --family reven --n 4 --basis e", "sf --family hook --n 6 --k 2 --basis m",
+    "alpha --n 6 --ranks 1,3 --method recurrence --basis s",
+    "beta --n 6 --ranks 1,3 --method chains --basis p",
+    "beta --n 6 --ranks 1,3 --method inclusion_exclusion --mult trivial,refl",
+    "table --family bS --n 6", "homology --n 6 --poset qnk:k=3",
+    *(request for request in dict.fromkeys(r.rsplit(" --format", 1)[0] for r in REQUESTS)
+      if request.startswith("check ")),
+    "report --family pnk --n 6 --k 3", "report --family le --n 5 --k 4",
+    "report --family stability --ranks 2,3 --k 1 --max-n 8",
+]
+
+
+class SymFuncArithmetic(Exception):
+    pass
+
+
+def test_no_command_does_symmetric_function_arithmetic(monkeypatch):
+    # every module is class values until it prints: a SymFunc is only read out
+    from parthom.symfunc import SymFunc
+
+    def refuse(*args):
+        raise SymFuncArithmetic
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__eq__"):
+        monkeypatch.setattr(SymFunc, name, refuse)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    requests = [f"{request} --format pretty" for request in ARITHMETIC_FREE]
+    assert len(requests) == 19 and set(requests) <= set(golden)
+    for request in requests:
+        assert _run(request) == golden[request], request
+
+
 if __name__ == "__main__":
     digests = {request: _run(request) for request in REQUESTS}
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from parthom.cli import CHECK_SUITES
 from test_bench_bindings import load_tracer
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -121,25 +122,39 @@ def test_cache_hit_executes_only_what_renders_it(tmp_path, fmt, expected):
     assert code == 0 and executed(modules) == expected
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["homology", "--n", "5", "--poset", "full"], HOMOLOGY),
-    (["beta", "--n", "6", "--ranks", "1,3"], RECURRENCE),
-    (["alpha", "--n", "6", "--ranks", "1,3"], RECURRENCE),
-    (["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains"], CHAINS),
-    (["sf", "--family", "lie", "--n", "5", "--basis", "s"], RECURRENCE),
-    (["table", "--family", "bS", "--n", "5"], CLASS_VALUES),
-    (["report", "--family", "stability", "--ranks", "1", "--k", "2", "--max-n", "5"],
-     CLASS_VALUES | {"checks"}),
-    (["check", "--suite", "method", "--max-n", "4"], CLASS_VALUES | POSET | {"checks"}),
-    (["check", "--suite", "even", "--max-n", "3"], RECURRENCE | {"checks"}),
-    (["report", "--family", "qnk", "--n", "5", "--k", "3"], HOMOLOGY | RECURRENCE | {"checks"}),
-], ids=["homology", "beta", "alpha", "alpha-chains", "sf", "table", "report-stability",
-        "check-method", "check-even", "report-qnk"])
+#: id -> (a request that exits 0, the modules it executes)
+REQUESTS = {
+    "homology": ("homology --n 5 --poset full", HOMOLOGY),
+    "beta": ("beta --n 6 --ranks 1,3", RECURRENCE),
+    "alpha": ("alpha --n 6 --ranks 1,3", RECURRENCE),
+    "alpha-chains": ("alpha --n 5 --ranks 1,2 --method chains", CHAINS),
+    "sf": ("sf --family lie --n 5 --basis s", RECURRENCE),
+    "table": ("table --family bS --n 5", CLASS_VALUES),
+    "report-stability": ("report --family stability --ranks 1 --k 2 --max-n 5",
+                         CLASS_VALUES | {"checks"}),
+    "check-method": ("check --suite method --max-n 4", CLASS_VALUES | POSET | {"checks"}),
+    # of the suites only conj-3.7 executes symfunc, to read a module out in
+    # the h basis; every other suite compares class values
+    "check-even": ("check --suite even --max-n 3", CLASS_VALUES | {"checks"}),
+    "check-orbit": ("check --suite orbit --max-n 6", CLASS_VALUES | {"checks"}),
+    "check-conj-3.7": ("check --suite conj-3.7 --max-n 3", RECURRENCE | {"checks"}),
+    "check-conj-3.9": ("check --suite conj-3.9 --max-n 4", CLASS_VALUES | {"checks"}),
+    "check-hh": ("check --suite hh --max-n 5", CLASS_VALUES | {"checks"}),
+    "check-euler": ("check --suite euler --max-n 5", CLASS_VALUES | {"checks"}),
+    "report-qnk": ("report --family qnk --n 5 --k 3", HOMOLOGY | RECURRENCE | {"checks"}),
+}
+
+
+@pytest.mark.parametrize("argv, expected", REQUESTS.values(), ids=REQUESTS)
 def test_each_command_executes_only_the_modules_it_runs(argv, expected):
-    code, modules, fractions = probe(*argv, "--no-cache", "--format", "json")
+    code, modules, fractions = probe(*argv.split(), "--no-cache", "--format", "json")
     assert code == 0 and executed(modules) == expected
     # only a command that prints a symmetric function makes a Fraction
     assert fractions == ("symfunc" in expected)
+
+
+def test_every_check_suite_is_probed():
+    assert {f"check-{suite}" for suite in CHECK_SUITES} <= set(REQUESTS)
 
 
 def test_the_chain_method_is_refused_before_any_library_module():

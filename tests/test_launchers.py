@@ -1,7 +1,8 @@
 """The process entry point: ``python -m parthom`` and the ``parthom`` script
 both run ``cli.run``, which prints what the in-process ``cli.main`` prints,
 exits with its code, and freezes the process's objects at exit so that the
-interpreter's shutdown collections skip them.  Children run in development
+interpreter's shutdown collections skip them.  ``python -m parthom.cli``
+runs ``cli.py`` as ``__main__``, and executes it once.  Children run in development
 mode with ``ResourceWarning`` an error, so a file left open at exit would
 show on their stderr."""
 
@@ -66,6 +67,19 @@ def test_the_launcher_writes_out_as_main_does(capsys, monkeypatch, tmp_path):
         out = child([*LAUNCHER, *argv, "--out", str(tmp_path / "out.tsv")])
         assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
         assert (tmp_path / "out.tsv").read_text() == (tmp_path / "expected.tsv").read_text()
+
+
+def test_the_cli_module_run_as_main_is_executed_once(capsys, monkeypatch):
+    # `python -m parthom.cli` runs cli.py as __main__; a cache miss that
+    # imported parthom.cli by name would execute the file a second time
+    argv = ["sf", "--family", "lie", "--n", "3", "--no-cache"]
+    expected = in_process(capsys, monkeypatch, argv)
+    out = child([sys.executable, "-X", "importtime", "-m", "parthom.cli", *argv])
+    assert (out.returncode, out.stdout) == expected[:2]
+    lines = out.stderr.splitlines()
+    assert all(line.startswith("import time:") for line in lines)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in lines}
+    assert "parthom.cache" in imported and "parthom.cli" not in imported
 
 
 #: a child that registers an exit handler, then runs one entry point; the

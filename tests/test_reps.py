@@ -6,19 +6,25 @@ import pytest
 
 from parthom.chartable import character
 from parthom.errors import FeasibilityError
+from parthom.partitions import partitions_of
 from parthom.reps import (
     chain_characteristic,
+    characteristic,
+    class_values,
     ek_number,
     euler_number,
     even_block_characteristic,
     even_block_multiplicity,
     homology_characteristic,
+    hook_character,
     lie_character,
     multiplicities,
+    restriction,
     simsun,
     whitehouse_module,
 )
 from parthom.symfunc import SymFunc, is_positive
+from test_class_values import sign_twist
 from test_classfunc import inverse_characteristic, supported_on_involutions
 from test_poset import stirling2
 from test_symfunc import E, H, P, S
@@ -125,7 +131,7 @@ def test_invalid_rank_set_rejected():
 
 def test_beta_full_is_twisted_cyclic_induction():
     for n in range(3, 8):
-        assert homology_characteristic(n, range(1, n - 1)) == lie_character(n)
+        assert class_values(n, range(1, n - 1), homology=True) == lie_character(n)
 
 
 def test_beta_antichain():
@@ -185,28 +191,30 @@ def test_beta_validation_catches_non_modules():
 
 def test_lie_character_dimensions():
     for n in range(2, 9):
-        assert lie_character(n).dimension() == factorial(n - 1)
+        # the dimension is the value at the identity, the last class
+        assert lie_character(n)[-1] == factorial(n - 1)
 
 
 def test_lie_character_small_values():
-    assert lie_character(2) == H(2)
-    # degree 3: the twist of (p_1^3 - p_3)/3
+    assert characteristic(2, lie_character(2)) == H(2)
+    # degree 3: the twist of (p_1^3 - p_3)/3, whose values are -1, 0, 2
     expected = (P([1, 1, 1]) - P(3)) * Fraction(1, 3)
-    assert lie_character(3) == expected.sign_twist()
+    assert characteristic(3, lie_character(3)) == sign_twist(expected)
+    assert lie_character(3) == (-1, 0, 2)
 
 
 def test_lie_restriction_is_regular_representation():
     for n in range(3, 8):
-        restricted = lie_character(n).d_dp1()
-        assert restricted == P((1,) * (n - 1))
-        coeffs = restricted.in_basis("s").terms
+        restricted = restriction(n, lie_character(n))
+        assert restricted == (0,) * (len(restricted) - 1) + (factorial(n - 1),)
+        coeffs = characteristic(n - 1, restricted).in_basis("s").terms
         for lam, c in coeffs.items():
             assert c == character(lam, (1,) * (n - 1))
 
 
 def test_lie_character_schur_positive():
-    assert is_positive(lie_character(5), "s")
-    coeffs = lie_character(5).in_basis("s").terms
+    assert is_positive(characteristic(5, lie_character(5)), "s")
+    coeffs = characteristic(5, lie_character(5)).in_basis("s").terms
     assert sum(c * S(lam).dimension() for lam, c in coeffs.items()) == 24
 
 
@@ -299,20 +307,21 @@ def test_even_block_multiplicity_positive():
 
 
 def test_even_block_characteristic_smallest():
-    assert even_block_characteristic(2) == H([2, 2])
+    assert characteristic(4, even_block_characteristic(2)) == H([2, 2])
 
 
 def test_even_block_agrees_with_rank_selection():
     # every n that `sf --family reven` serves: 2n up to the degree bound 16
     for n in range(2, 9):
         r = even_block_characteristic(n)
-        assert r == homology_characteristic(2 * n, range(2, 2 * n - 1, 2)), n
+        assert r == class_values(2 * n, range(2, 2 * n - 1, 2), homology=True), n
 
 
 def test_even_block_character_vanishes_off_involutions():
     # no Schur conversion involved, so the large degrees stay cheap
     for n in range(2, 8):
-        assert supported_on_involutions(even_block_characteristic(n), 2 * n), n
+        values = zip(partitions_of(2 * n), even_block_characteristic(n))
+        assert all(v == 0 for mu, v in values if mu[0] > 2), n
 
 
 def test_alpha_full_supported_on_involutions_up_to_7():
@@ -328,12 +337,12 @@ def test_even_block_dimension_is_subposet_betti():
         r = even_block_characteristic(n)
         hom = view_homology(parse_view(2 * n, "even"))
         assert hom.nonzero_degrees() == [n - 2]
-        assert hom.betti[n - 2] == r.dimension()
+        assert hom.betti[n - 2] == r[-1]
 
 
 def test_ek_numbers_nonnegative_and_identity():
     for n in range(2, 7):
-        r = even_block_characteristic(n)
+        r = characteristic(2 * n, even_block_characteristic(n))
         total = SymFunc()
         for i in range(2, n + 1):
             c = ek_number(i, n)
@@ -348,28 +357,28 @@ def test_ek_numbers_nonnegative_and_identity():
 
 def test_whitehouse_restriction_at_top_parameter():
     for n in range(4, 8):
-        assert whitehouse_module(n, n - 1).d_dp1() == lie_character(n - 1)
+        assert restriction(n, whitehouse_module(n, n - 1)) == lie_character(n - 1)
 
 
 def test_whitehouse_restriction_general():
     for n in range(4, 8):
         for k in range(2, n - 1):
-            lhs = whitehouse_module(n, k).d_dp1()
-            rhs = Fraction(n - k) * lie_character(k) * P((1,) * (n - k - 1))
+            lhs = characteristic(n - 1, restriction(n, whitehouse_module(n, k)))
+            rhs = Fraction(n - k) * characteristic(k, lie_character(k)) * P((1,) * (n - k - 1))
             assert lhs == rhs, (n, k)
 
 
 def test_whitehouse_schur_positive():
     for n in range(3, 8):
         for k in range(2, n):
-            assert is_positive(whitehouse_module(n, k), "s"), (n, k)
+            assert is_positive(characteristic(n, whitehouse_module(n, k)), "s"), (n, k)
 
 
 def test_whitehouse_dimension():
     for n in range(3, 8):
         for k in range(2, n):
             expected = factorial(k - 1) * factorial(n) // factorial(k) - factorial(n - 1)
-            assert whitehouse_module(n, k).dimension() == expected
+            assert whitehouse_module(n, k)[-1] == expected
 
 
 def test_whitehouse_bounds():
@@ -377,3 +386,25 @@ def test_whitehouse_bounds():
         whitehouse_module(5, 5)
     with pytest.raises(ValueError):
         whitehouse_module(5, 1)
+
+
+# ---------------------------------------------------------------------------
+# hooks
+
+def test_hook_character_examples():
+    assert characteristic(3, hook_character(3, 0)) == H(3)
+    assert characteristic(3, hook_character(3, 2)) == E(3)
+    assert characteristic(4, hook_character(4, 1)) == S([3, 1])
+
+
+def test_hook_character_matches_conversion():
+    # the class values read out in the s basis are the one hook
+    for n in range(1, 9):
+        for k in range(n):
+            hook = (n - k,) + (1,) * k
+            assert characteristic(n, hook_character(n, k)).in_basis("s").terms == {hook: 1}
+
+
+def test_hook_character_bounds():
+    with pytest.raises(ValueError):
+        hook_character(3, 3)
