@@ -15,12 +15,10 @@ from math import comb
 from .errors import BLOCK_SIZE_FAMILIES, BOUNDS, ConcentrationError, refuse_past
 from .partitions import partitions_of
 from .reps import (
-    characteristic,
     class_values,
     even_block_characteristic,
     even_block_multiplicity,
     euler_number,
-    homology_characteristic,
     lie_character,
     multiplicities,
     pair_orbit_values,
@@ -179,10 +177,10 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
 
 def _check_even_top_h_positive(verdict: Verdict, n: int, k: int) -> None:
     # imported here, so that the other checks load no symfunc
-    from .symfunc import is_positive
+    from .symfunc import expansion, is_positive
 
     ranks = tuple(range(2 * n - 2 * k, 2 * n - 1, 2))
-    ok = is_positive(homology_characteristic(2 * n, ranks), "h")
+    ok = is_positive(expansion(2 * n, class_values(2 * n, ranks, homology=True), "h"))
     verdict.check(
         f"h-positivity of even-block top-{k} homology, 2n={2 * n}",
         ok,
@@ -210,6 +208,8 @@ def conjecture_checks(name: str, n_max: int) -> Verdict:
         refuse_past("degree", n_max)
     elif name in ("conj-3.7", "even"):
         refuse_past("degree", 2 * n_max)
+    elif name == "conj-3.9":
+        refuse_past("conj39_max_n", n_max)
     verdict = Verdict(name)
     if name == "conj-3.9":
         for n in range(2, n_max + 1):
@@ -364,8 +364,9 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
     if family not in BLOCK_SIZE_FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"expected one of {sorted(BLOCK_SIZE_FAMILIES)}")
-    # imported here, so that the other checks load no poset or topology
+    # imported here, so that the other checks load no poset, topology or symfunc
     from .poset import parse_view
+    from .symfunc import expansion
     from .topology import concentrated_character, view_homology
 
     view = parse_view(n, f"{family}:k={k}")
@@ -397,10 +398,10 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
                 dimension=values[-1],
                 expected_dimension=module[-1],
             )
-            report["character"] = characteristic(n, values).in_basis("s").to_json_dict()
+            report["character"] = expansion(n, values, "s").to_json_dict()
             # both sides of the unresolved product-module comparison, no verdict
             report["restriction_to_point_stabilizer"] = (
-                characteristic(n - 1, restriction(n, values)).in_basis("s").to_json_dict()
+                expansion(n - 1, restriction(n, values), "s").to_json_dict()
             )
             report["notes"].append(
                 "restriction characteristic exposed for comparison only; no "

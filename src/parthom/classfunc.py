@@ -1,8 +1,8 @@
 """Class functions of symmetric groups, kept for the benchmark's tracer.
 
 No command runs this module: every command keeps a module as integer
-class values over ``partitions_of(n)`` and takes its characteristic with
-:func:`parthom.reps.characteristic`.  ``bench/tracer.py`` binds
+class values over ``partitions_of(n)`` and prints its characteristic with
+:func:`parthom.symfunc.expansion`.  ``bench/tracer.py`` binds
 ``ClassFunction.characteristic``, so the class stays until the benchmark
 no longer does.
 """

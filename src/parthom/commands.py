@@ -1,5 +1,7 @@
 """Result assembly of the command-line front end: one function per command
 that checks the request, computes it and returns its cacheable payload dict.
+A module is class values until :func:`parthom.symfunc.expansion` reads it
+out to print; no command builds a ``SymFunc``.
 
 :mod:`parthom.cli` executes this module only on a cache miss, so a hit
 compiles none of it.  The library modules imported here are the lazy
@@ -11,13 +13,14 @@ once, also when it runs as ``__main__``.
 
 from __future__ import annotations
 
-from . import checks, poset, reps, topology
+from . import checks, poset, reps, symfunc, topology
 from .errors import CHAIN_REFUSAL, SCHUR_REFUSAL, parse_rank_set, refuse_ground, refuse_past
 
 
-def _symfunc_payload(f, basis: str) -> dict:
-    # the dimension is read off the powersum terms, whatever basis prints
-    return {"symfunc": f.in_basis(basis).to_json_dict(), "dimension": str(f.dimension())}
+def _symfunc_payload(n: int, values, basis: str) -> dict:
+    # the dimension is the value at the identity, the last class
+    return {"symfunc": symfunc.expansion(n, values, basis).to_json_dict(),
+            "dimension": str(values[-1])}
 
 
 def _refuse_degree(degree: int, basis: str) -> None:
@@ -43,7 +46,7 @@ def _result_sf(args) -> dict:
         if args.k is None:
             raise ValueError("hook needs --k")
         values = reps.hook_character(args.n, args.k)
-    return _symfunc_payload(reps.characteristic(degree, values), args.basis)
+    return _symfunc_payload(degree, values, args.basis)
 
 
 def _result_alpha_beta(args) -> dict:
@@ -60,15 +63,12 @@ def _result_alpha_beta(args) -> dict:
     _refuse_degree(args.n, args.basis)
     if args.method == "chains":
         refuse_past("chain_degree", args.n, CHAIN_REFUSAL)
-    homology = args.command == "beta"
-    fn = reps.homology_characteristic if homology else reps.chain_characteristic
-    f = fn(args.n, ranks, method=args.method)
-    payload = _symfunc_payload(f, args.basis)
+    values = reps.class_values(args.n, ranks, args.command == "beta", args.method)
+    payload = _symfunc_payload(args.n, values, args.basis)
     payload["n"] = args.n
     payload["ranks"] = list(ranks)
     if names is not None:
-        # paired from the class values of the printed module, by its own method
-        values = reps.class_values(args.n, ranks, homology, args.method)
+        # paired from the class values of the printed module
         pair = dict(zip(("trivial", "refl"), reps.trivial_multiplicities(args.n, values)))
         payload["multiplicities"] = {name: pair[name] for name in names}
     return payload
@@ -97,8 +97,10 @@ def _result_table(args) -> dict:
     if limit is None:
         raise ValueError(f"table --family {args.family} needs --max-n")
     if args.family == "euler":
+        refuse_past("euler_max_n", limit)
         rows = [{"n": n, "E_n": reps.euler_number(n)} for n in range(limit + 1)]
     elif args.family == "simsun":
+        refuse_past("simsun_max_n", limit)
         rows = [
             {"n": n, "i": i, "a_i(n)": reps.simsun(i, n)}
             for n in range(1, limit + 1)
@@ -106,12 +108,14 @@ def _result_table(args) -> dict:
             if reps.simsun(i, n)
         ]
     elif args.family == "bi":
+        refuse_past("bi_max_n", limit)
         rows = [
             {"n": n, "i": i, "b_i(n)": reps.even_block_multiplicity(i, n)}
             for n in range(2, limit + 1)
             for i in range(2, n + 1)
         ]
     else:
+        refuse_past("ek_max_n", limit)
         rows = [
             {"n": n, "k": k, "E_k(n)": reps.ek_number(k, n)}
             for n in range(2, limit + 1)

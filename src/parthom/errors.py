@@ -12,6 +12,13 @@ BOUNDS = {
     "degree": 16,  # degree of a module recurrence or a named symmetric function
     "chain_degree": 8,  # degree of the chain method's fixed-chain counts
     "method_suite": 7,  # largest n at which `check --suite method` compares methods
+    # --max-n of the sequence tables and of `check --suite conj-3.9`, each
+    # the largest request that finishes in about a second, cold
+    "euler_max_n": 2000,
+    "simsun_max_n": 500,
+    "bi_max_n": 90,
+    "ek_max_n": 90,
+    "conj39_max_n": 90,
 }
 
 #: the refusal of a conversion through the character table past ``schur_degree``

@@ -21,8 +21,9 @@ even-block characteristic is assembled from its coefficients alone;
 Every module here, the named ones included, is integer class values over
 ``partitions_of(n)``, each named one by a closed form in the class: a
 product with h_1^r reads the class with r fewer fixed points, and
-restriction the class with one more.  Only :func:`characteristic`, the
-one way to a symmetric function, imports :mod:`parthom.symfunc`.
+restriction the class with one more.  No command calls
+:func:`characteristic` or the two built on it, which make a ``SymFunc``
+for the tests and for the benchmark's tracer (it binds both).
 """
 
 from __future__ import annotations

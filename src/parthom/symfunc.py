@@ -1,41 +1,40 @@
 """Exact symmetric function arithmetic over the rationals.
 
-A :class:`SymFunc` is its powersum expansion: a finite map from partitions
-lam to the ``Fraction`` coefficients of p_lam (zeros are never stored).
-Inhomogeneous values are allowed, with the degree of a term given by the
-weight of its partition.  Every operation is a monomial one on these terms:
-products concatenate indices, plethysm substitutes p_i -> p_{ik}, the
-involution omega only signs, omega(p_lam) = (-1)^(|lam| - len(lam)) p_lam,
-and the Hall pairing is <p_lam, p_mu> = z_lam when lam = mu and 0 otherwise.
+Every command holds a module as integer class values over
+``partitions_of(n)``, and :func:`expansion` is the one read-out: it gives
+the Frobenius characteristic of class values in powersum ``p``, complete
+homogeneous ``h``, elementary ``e``, Schur ``s`` or monomial ``m`` as an
+:class:`Expansion`, which the commands print and :func:`is_positive`
+tests.  The coefficient of B_lam is the sum over nu of
+values[nu] (n!/z_nu) [B_lam]p_nu, divided by n! once per printed term, the
+only place the read-out makes a ``Fraction``.  The tables
+``_p_in(basis, mu)``, p_mu in the h, s or m basis, are built over ``int``:
 
-A basis is named only to read coefficients out: ``in_basis`` gives them in
-powersum ``p``, complete homogeneous ``h``, elementary ``e``, Schur ``s`` or
-monomial ``m`` as an :class:`Expansion`, which the commands print and
-:func:`is_positive` tests.  The tables ``_p_in(basis, mu)``, p_mu in the h,
-s or m basis, are built over ``int``:
-
-* ``p_n`` expands into h by Newton's identities;
-* ``e`` is read as the h coefficients of the omega image;
+* ``p_n`` expands into h by Newton's identities, and p_mu is the row of
+  its first part times the memoized row of the rest;
+* ``e`` is read as h after the value at nu is signed by
+  (-1)^(n - len(nu)), the involution omega;
 * p_mu = sum over lam of chi^lam(mu) s_lam, from the symmetric group
   characters of :mod:`parthom.chartable`, with no floating point and no
   determinants;
 * the m_lam coefficient of p_mu counts the ways to put the parts of mu
   into boxes with sums lam.
 
-A conversion sums the tables over the common denominator of the p
-coefficients and divides once per output term, the only place a
-``Fraction`` is made from them.  The one way in from another basis is
+No command builds a :class:`SymFunc`.  It is its powersum expansion: a
+finite map from partitions lam to the ``Fraction`` coefficients of p_lam
+(zeros are never stored), inhomogeneous values allowed.  Every operation
+is a monomial one on these terms: products concatenate indices, plethysm
+substitutes p_i -> p_{ik}, and the Hall pairing is <p_lam, p_mu> = z_lam
+when lam = mu and 0 otherwise.  ``SymFunc.in_basis`` reads each degree
+out through :func:`expansion`.  The one way in from another basis is
 :func:`from_h`, by the class-size formula n! h_n = sum over lam |- n of
 (n! / z_lam) p_lam, an integer table too.
 
 ``plethysm`` is the one plethysm: ``plethysm_with_h_sum``, the degree-n
 part of f[h_1 + h_2 + ...], is the degree-n part of ``plethysm`` into
 h_1 + ... + h_n.  The class-value recurrence of :mod:`parthom.reps`
-counts the matrix of that map itself, without this module.
-
-No command builds a module here: every ``SymFunc`` a command holds is
-made from class values by ``reps.characteristic`` and only read out.  The
-powersum constructions of the named modules (``powersum``, ``sign_twist``,
+counts the matrix of that map itself, without this module.  The powersum
+constructions of the named modules (``powersum``, ``sign_twist``,
 ``d_dp1``, ``hook_schur``) are test oracles in ``tests/test_class_values.py``.
 
 Coefficients must be rational: a float (whose binary expansion
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, prod
 from numbers import Rational
 from typing import NamedTuple
 
@@ -138,48 +137,28 @@ def _product(table, lam: tuple) -> Terms:
 @lru_cache(maxsize=None)
 def _p_in(basis: str, mu: tuple) -> tuple:
     """p_mu expanded in the basis B = h, s or m; every coefficient is an int."""
-    if basis == "h":
-        return tuple(_product(_p_in_h, mu).items())
     n = sum(mu)
     if basis == "s":
         # p_mu = sum over lam of chi^lam(mu) s_lam
         refuse_past("schur_degree", n, SCHUR_REFUSAL)
         return tuple((lam, chi) for lam in partitions_of(n) if (chi := character(lam, mu)))
+    if not mu:
+        return (((), 1),)
+    k, rest = mu[0], _p_in(basis, mu[1:])
+    if basis == "h":
+        # p_mu = p_k p_rest: Newton's row of the first part times the row of the rest
+        return tuple(_merge_mul(dict(_p_in_h(k)), dict(rest)).items())
     # the m_lam coefficient counts the ways to put the parts of mu into boxes
     # with sums lam.  The first part k goes into a new box or onto a box of
     # size v of each way nu for the other parts, and each lam so made is
     # reached from nu once for every box of lam of size v + k
-    if not mu:
-        return (((), 1),)
-    k, acc = mu[0], {}
-    for nu, c in _p_in("m", mu[1:]):
+    acc = {}
+    for nu, c in rest:
         for v in {0, *nu}:
             i = nu.index(v) if v else len(nu)
             lam = tuple(sorted(nu[:i] + (v + k,) + nu[i + 1:], reverse=True))
             acc[lam] = acc.get(lam, 0) + c * lam.count(v + k)
     return tuple((lam, acc[lam]) for lam in partitions_of(n) if lam in acc)
-
-
-def _twist(terms: Terms) -> Terms:
-    """The involution omega on powersum terms, p_lam -> (-1)^(|lam| - len(lam)) p_lam;
-    it sends h_lam to e_lam and s_lam to the Schur function of the conjugate."""
-    return {lam: -c if (sum(lam) - len(lam)) % 2 else c for lam, c in terms.items()}
-
-
-def _from_p(target: str, pterms: Terms) -> Terms:
-    if target == "p":
-        return dict(pterms)
-    if target == "e":
-        return _from_p("h", _twist(pterms))
-    if target not in ("h", "s", "m"):
-        raise ValueError(f"unknown basis {target!r}")
-    # the tables are integral: sum over the common denominator of the
-    # coefficients and divide once per output term
-    den = lcm(*(c.denominator for c in pterms.values()))
-    acc: Terms = {}
-    for mu, c in pterms.items():
-        _add_into(acc, dict(_p_in(target, mu)), c.numerator * (den // c.denominator))
-    return {lam: Fraction(v, den) for lam, v in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +177,29 @@ class Expansion(NamedTuple):
         }
 
 
+def expansion(n: int, values, basis: str) -> Expansion:
+    """The coefficients in *basis* (p, h, e, s or m) of the Frobenius
+    characteristic of class values over ``partitions_of(n)``: the sum over
+    nu of values[nu] (n!/z_nu) [B_lam]p_nu, divided by n! once per term."""
+    if basis not in ("p", "h", "e", "s", "m"):
+        raise ValueError(f"unknown basis {basis!r}")
+    size = factorial(n)
+    acc: Terms = {}
+    for nu, v in zip(partitions_of(n), values):
+        if not v:
+            continue
+        weight = v * (size // zee(nu))
+        if basis == "e" and (n - len(nu)) % 2:
+            # omega signs p_nu and sends h_lam to e_lam
+            weight = -weight
+        row = ((nu, 1),) if basis == "p" else _p_in("h" if basis == "e" else basis, nu)
+        for lam, c in row:
+            acc[lam] = acc.get(lam, 0) + weight * c
+    return Expansion(basis, {lam: Fraction(c, size) for lam, c in acc.items() if c})
+
+
+# ---------------------------------------------------------------------------
+
 class SymFunc:
     """A symmetric function: exact rational coefficients of powersums."""
 
@@ -209,15 +211,14 @@ class SymFunc:
     def __setattr__(self, name, value):
         raise AttributeError("SymFunc values are immutable")
 
-    def dimension(self) -> Fraction:
-        """Character value at the identity: n! times the p_(1^n) coefficient,
-        summed over homogeneous components (degree 0 contributes its constant)."""
-        degrees = {sum(lam) for lam in self.terms}
-        return sum((self.terms.get((1,) * n, 0) * factorial(n) for n in degrees), Fraction(0))
-
     def in_basis(self, target: str) -> Expansion:
-        """The coefficients in the basis *target*: p, h, e, s or m."""
-        return Expansion(target, _from_p(target, self.terms))
+        """The coefficients in the basis *target*, each degree read out by :func:`expansion`."""
+        terms: Terms = {}
+        # the zero function reads out degree 0, so an unknown basis is refused
+        for n in {sum(lam) for lam in self.terms} or {0}:
+            values = [self.terms.get(nu, 0) * zee(nu) for nu in partitions_of(n)]
+            terms.update(expansion(n, values, target).terms)
+        return Expansion(target, terms)
 
     # -- ring structure -------------------------------------------------------
 
@@ -316,7 +317,6 @@ def plethysm_with_h_sum(f: SymFunc, n: int) -> SymFunc:
 # ---------------------------------------------------------------------------
 # positivity
 
-def is_positive(f: SymFunc, basis: str) -> bool:
-    """True when every coefficient of *f* in *basis* is a nonnegative integer."""
-    return all(c >= 0 and c.denominator == 1 for c in f.in_basis(basis).terms.values())
-
+def is_positive(expanded: Expansion) -> bool:
+    """True when every coefficient of *expanded* is a nonnegative integer."""
+    return all(c >= 0 and c.denominator == 1 for c in expanded.terms.values())

@@ -40,8 +40,8 @@ cross-checkable against :func:`mobius_number`, which sums signed chains by
 
 The Lefschetz trace of a view is a tuple of integer class values over
 ``partitions_of(n)``, the identity class last, the one module type of
-every command; :func:`parthom.reps.characteristic` takes its Frobenius
-characteristic.
+every command; :func:`parthom.symfunc.expansion` reads its Frobenius
+characteristic out.
 """
 
 from __future__ import annotations

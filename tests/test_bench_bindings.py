@@ -59,8 +59,9 @@ def test_traced_homology_run_records_the_topology_spans(tmp_path):
 
 
 def test_traced_sf_run_records_the_conversion_spans(tmp_path):
-    # the entry point loads symfunc lazily: the tracer must still wrap what runs
+    # the entry point loads reps lazily: the tracer must still wrap what runs.
+    # The module prints from its class values, so no SymFunc span fires
     args = ["sf", "--family", "whitehouse", "--n", "7", "--k", "3", "--basis", "s", "--no-cache"]
     spans = traced_and_plain(tmp_path, args)
     names = [span["name"] for span in spans]
-    assert "symfunc.in_basis" in names and "reps.whitehouse_module" in names
+    assert "reps.whitehouse_module" in names

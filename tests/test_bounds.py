@@ -2,6 +2,7 @@
 the method-suite cap, the reads of each bound in the source, and the README
 table that documents them."""
 
+import importlib
 import json
 import re
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import parthom.errors as errors
+import parthom.symfunc as symfunc
 from parthom.cli import main
-from parthom.symfunc import SymFunc
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -27,6 +28,14 @@ REFUSALS = {
     "degree": ("beta --n 17 --ranks 1", "degree 17 exceeds supported bound 16"),
     "chain_degree": ("alpha --n 9 --ranks 1-7 --method chains",
                      "chain path refused for n=9 > 8"),
+    "euler_max_n": ("table --family euler --max-n 2001",
+                    "euler_max_n 2001 exceeds supported bound 2000"),
+    "simsun_max_n": ("table --family simsun --max-n 501",
+                     "simsun_max_n 501 exceeds supported bound 500"),
+    "bi_max_n": ("table --family bi --max-n 91", "bi_max_n 91 exceeds supported bound 90"),
+    "ek_max_n": ("table --family ek --max-n 91", "ek_max_n 91 exceeds supported bound 90"),
+    "conj39_max_n": ("check --suite conj-3.9 --max-n 91",
+                     "conj39_max_n 91 exceeds supported bound 90"),
 }
 
 
@@ -56,19 +65,44 @@ def test_refusal_exits_2_with_one_error_line(capsys, bound):
                                                ("hook", 17, 17), ("reven", 9, 18)])
 def test_sf_refused_before_any_symmetric_function(capsys, monkeypatch, family, n, degree):
     built = []
-    real = SymFunc.__init__
+    real = symfunc.expansion
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         built.append(args)
-        real(self, *args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(SymFunc, "__init__", counted)
+    monkeypatch.setattr(symfunc, "expansion", counted)
     k = ["--k", "3"] if family in ("whitehouse", "hook") else []
     code = main(["sf", "--family", family, "--n", str(n), *k, "--no-cache"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: degree {degree} exceeds supported bound 16\n"
     assert built == []
+
+
+@pytest.mark.parametrize("bound, module, counted", [
+    ("euler_max_n", "reps", "euler_number"), ("simsun_max_n", "reps", "simsun"),
+    ("bi_max_n", "reps", "even_block_multiplicity"), ("ek_max_n", "reps", "ek_number"),
+    ("conj39_max_n", "checks", "even_block_multiplicity"),
+    ("conj39_max_n", "checks", "simsun"),
+])
+def test_max_n_refused_before_the_first_row_or_check(capsys, monkeypatch, bound, module,
+                                                     counted):
+    module = importlib.import_module(f"parthom.{module}")
+    calls = []
+    real = getattr(module, counted)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, counted, wrapper)
+    command, message = REFUSALS[bound]
+    code = main([*command.split(), "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert calls == []
 
 
 @pytest.mark.parametrize("command, n", [

@@ -50,7 +50,16 @@ from parthom.reps import (
     whitehouse_module,
 )
 from parthom.setparts import act, canonical_permutation
-from parthom.symfunc import SymFunc, _h_in_p, _p_in, _p_in_h, from_h, plethysm
+from parthom.symfunc import (
+    SymFunc,
+    _h_in_p,
+    _p_in,
+    _p_in_h,
+    _product,
+    expansion,
+    from_h,
+    plethysm,
+)
 from test_chain_sums import set_partitions
 
 #: the integer tables are checked exactly for every lam with |lam| <= n <= KERNEL_N
@@ -177,6 +186,46 @@ def test_p_product_in_matches_the_fraction_oracle():
             got = dict(_p_in("h", lam))
             assert all(type(v) is int for v in got.values()), lam
             assert got == oracle_p_product_in(lam), lam
+
+
+def test_peeled_h_table_matches_the_product_over_every_part():
+    # _p_in("h", mu) peels the first part of mu; _product multiplies the
+    # Newton rows of all its parts, as the table was built before
+    for n in range(13):
+        for mu in partitions_of(n):
+            assert dict(_p_in("h", mu)) == _product(_p_in_h, mu), mu
+
+
+@st.composite
+def degree_and_values(draw):
+    """A degree n <= 8 and random integer class values over partitions_of(n)."""
+    n = draw(st.integers(0, 8))
+    size = len(partitions_of(n))
+    return n, tuple(draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree_and_values(), st.sampled_from("phesm"))
+def test_expansion_rebuilds_the_class_values(case, basis):
+    # each basis is checked by a route that reads no _p_in table
+    n, values = case
+    terms = expansion(n, values, basis).terms
+    f = characteristic(n, values)
+    if basis == "p":
+        assert {nu: c * zee(nu) for nu, c in terms.items()} == {
+            nu: v for nu, v in zip(partitions_of(n), values) if v}
+    elif basis == "s":
+        assert tuple(sum(c * character(lam, nu) for lam, c in terms.items())
+                     for nu in partitions_of(n)) == values
+    elif basis == "h":
+        assert from_h(terms) == f
+    elif basis == "e":
+        # omega sends e_lam to h_lam
+        assert from_h(terms) == sign_twist(f)
+    else:
+        # <m_lam, h_mu> is 1 when lam = mu and 0 otherwise
+        assert terms == {lam: c for lam in partitions_of(n)
+                         if (c := f.inner(from_h({lam: 1})))}
 
 
 def test_integer_kernels_build_no_fraction(monkeypatch):

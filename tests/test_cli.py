@@ -188,8 +188,7 @@ def test_suite_degree_refused_before_first_check(capsys, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("homology_characteristic", "class_values", "even_block_characteristic",
-                 "pair_orbit_values"):
+    for name in ("class_values", "even_block_characteristic", "pair_orbit_values"):
         monkeypatch.setattr(checks, name, counted(getattr(checks, name)))
     monkeypatch.setitem(errors.BOUNDS, "degree", 6)
     for suite, max_n, degree in (("conj-3.7", "4", 8), ("even", "4", 8), ("orbit", "7", 7)):
@@ -637,7 +636,7 @@ def test_internal_failure_exit_3(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error("invariant broken")
 
-    monkeypatch.setattr(reps, "homology_characteristic", broken)
+    monkeypatch.setattr(reps, "class_values", broken)
     assert main(["beta", "--n", "6", "--ranks", "1,3", "--no-cache"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

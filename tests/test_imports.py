@@ -170,6 +170,11 @@ def test_a_view_refused_by_its_size_loads_no_topology():
     assert code == 2 and executed(modules) == MISS
 
 
+def test_a_table_refused_by_its_max_n_loads_no_library_module():
+    code, modules, _ = probe("table", "--family", "euler", "--max-n", "2001", "--no-cache")
+    assert code == 2 and executed(modules) == MISS
+
+
 def test_a_report_refused_by_its_ground_size_loads_no_library_module():
     code, modules, _ = probe("report", "--family", "qnk", "--n", "11", "--k", "3", "--no-cache")
     assert code == 2 and executed(modules) == MISS
