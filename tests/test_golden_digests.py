@@ -49,6 +49,8 @@ def _requests() -> list[str]:
     # a character and its restriction in the s basis
     out += [f"report --family {family} --n 5 --k {k}"
             for family, k in (("le", 4), ("le", 3), ("ne", 3))]
+    # ne at n = 2k + 1: homology asserted to lie in degrees 2k-4 and 2k-3 only
+    out.append("report --family ne --n 5 --k 2")
     # the two-row column is s_(n) at k = 0; 1 in S skips identity (iii); at
     # k = 3 the hook columns appear before the two-row ones; at S = 1, k = 3
     # the two-row columns first show at n = 2k, past 2 max(S) + k
@@ -69,7 +71,7 @@ def _run(request: str) -> dict:
 
 
 def test_golden_file_covers_every_request():
-    assert len(REQUESTS) == 255
+    assert len(REQUESTS) == 258
     assert sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))) == sorted(REQUESTS)
 
 
