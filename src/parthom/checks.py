@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb
 
+from . import poset, symfunc, topology
 from .errors import BLOCK_SIZE_FAMILIES, BOUNDS, ConcentrationError, refuse_past
 from .partitions import partitions_of
 from .reps import (
@@ -176,11 +177,9 @@ def stability_report(ranks, k: int, n_max: int) -> dict:
 # conjecture and theorem checkers
 
 def _check_even_top_h_positive(verdict: Verdict, n: int, k: int) -> None:
-    # imported here, so that the other checks load no symfunc
-    from .symfunc import expansion, is_positive
-
     ranks = tuple(range(2 * n - 2 * k, 2 * n - 1, 2))
-    ok = is_positive(expansion(2 * n, class_values(2 * n, ranks, homology=True), "h"))
+    ok = symfunc.is_positive(
+        symfunc.expansion(2 * n, class_values(2 * n, ranks, homology=True), "h"))
     verdict.check(
         f"h-positivity of even-block top-{k} homology, 2n={2 * n}",
         ok,
@@ -364,13 +363,8 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
     if family not in BLOCK_SIZE_FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"expected one of {sorted(BLOCK_SIZE_FAMILIES)}")
-    # imported here, so that the other checks load no poset, topology or symfunc
-    from .poset import parse_view
-    from .symfunc import expansion
-    from .topology import concentrated_character, view_homology
-
-    view = parse_view(n, f"{family}:k={k}")
-    hom = view_homology(view)
+    view = poset.parse_view(n, f"{family}:k={k}")
+    hom = topology.view_homology(view)
     report = {
         "inputs": {"family": family, "n": n, "k": k},
         "methods": ["snf-homology", "lefschetz-character"],
@@ -383,7 +377,7 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
     if predicted is not None:
         degree, module = predicted
         try:
-            got_degree, values = concentrated_character(view, hom)
+            got_degree, values = topology.concentrated_character(view, hom)
         except ConcentrationError as exc:
             verdict.check("free homology concentrated in one degree", False, error=str(exc))
         else:
@@ -398,10 +392,10 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
                 dimension=values[-1],
                 expected_dimension=module[-1],
             )
-            report["character"] = expansion(n, values, "s").to_json_dict()
+            report["character"] = symfunc.expansion(n, values, "s").to_json_dict()
             # both sides of the unresolved product-module comparison, no verdict
             report["restriction_to_point_stabilizer"] = (
-                expansion(n - 1, restriction(n, values), "s").to_json_dict()
+                symfunc.expansion(n - 1, restriction(n, values), "s").to_json_dict()
             )
             report["notes"].append(
                 "restriction characteristic exposed for comparison only; no "
@@ -411,7 +405,7 @@ def subposet_homology_report(family: str, n: int, k: int) -> dict:
         # no verdict here: at n = 2k the reduced Euler characteristics of
         # this view and the modular-deletion view already differ (80 vs 120
         # at n = 6, k = 3), so only the n < 2k comparison is checked
-        other = view_homology(parse_view(n, f"qnk:k={k}"))
+        other = topology.view_homology(poset.parse_view(n, f"qnk:k={k}"))
         report["modular_deletion_homology"] = other.to_json_dict()
         report["notes"].append(
             "boundary case n = 2k: both homology results exposed, no comparison asserted"

@@ -68,14 +68,13 @@ commands, *_ = map(_lazy, (
 
 CHECK_SUITES = ("conj-3.9", "conj-3.7", "hh", "euler", "orbit", "even", "method")
 
-#: (command, family) -> the options that family never reads; naming one exits 2
-UNREAD = {
-    ("sf", "lie"): ("k",),
-    ("sf", "reven"): ("k",),
-    ("table", "bS"): ("max_n",),
-    **{("table", family): ("n",) for family in ("euler", "simsun", "bi", "ek")},
-    ("report", "stability"): ("n",),
-    **{("report", family): ("ranks", "max_n") for family in BLOCK_SIZE_FAMILIES},
+#: command -> its --family choices -> the options each reads; leaving one
+#: out or naming another exits 2 before the cache is consulted
+FAMILIES = {
+    "sf": {"lie": ("n",), "whitehouse": ("n", "k"), "reven": ("n",), "hook": ("n", "k")},
+    "table": {"bS": ("n",), **dict.fromkeys(("simsun", "bi", "ek", "euler"), ("max_n",))},
+    "report": {**dict.fromkeys(BLOCK_SIZE_FAMILIES, ("n", "k")),
+               "stability": ("ranks", "k", "max_n")},
 }
 
 
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sf", help="named symmetric functions")
-    p.add_argument("--family", required=True, choices=("lie", "whitehouse", "reven", "hook"))
+    p.add_argument("--family", required=True, choices=FAMILIES["sf"])
     p.add_argument("--n", type=_int, required=True)
     p.add_argument("--k", type=_int)
     p.add_argument("--basis", default="h", choices=("p", "h", "e", "s", "m"))
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("table", help="multiplicity and number tables")
-    p.add_argument("--family", required=True, choices=("bS", "simsun", "bi", "ek", "euler"))
+    p.add_argument("--family", required=True, choices=FAMILIES["table"])
     p.add_argument("--n", type=_int)
     p.add_argument("--max-n", type=_int)
     _add_common(p)
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("report", help="subposet homology or stability report")
-    p.add_argument("--family", required=True, choices=(*BLOCK_SIZE_FAMILIES, "stability"))
+    p.add_argument("--family", required=True, choices=FAMILIES["report"])
     p.add_argument("--n", type=_int)
     p.add_argument("--k", type=_int)
     p.add_argument("--ranks")
@@ -148,14 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-def _render_symfunc_tsv(data: dict) -> str:
-    lines = ["partition\tcoeff"]
-    for term in data["symfunc"]["terms"]:
-        lam = ",".join(map(str, term["partition"])) or "-"
-        lines.append(f"{lam}\t{term['coeff']}")
-    return "\n".join(lines) + "\n"
-
 
 def _render_rows_tsv(rows: list[dict]) -> str:
     if not rows:
@@ -194,21 +185,16 @@ def _render(data: dict, args) -> str:
     if args.format == "json":
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     if args.format == "tsv":
-        if "symfunc" in data and "multiplicities" in data:
-            row = {"n": data["n"], "S": data["ranks"]}
-            row.update(data["multiplicities"])
-            return _render_rows_tsv([row])
-        if "symfunc" in data:
-            return _render_symfunc_tsv(data)
-        if "rows" in data:
-            return _render_rows_tsv(data["rows"])
-        if "betti" in data:
-            degrees = sorted(data["betti"], key=int)
-            rows = [
-                {"degree": d, "betti": data["betti"][d],
-                 "torsion": ",".join(map(str, data["torsion"].get(d, []))) or "-"}
-                for d in degrees
-            ]
+        if "multiplicities" in data:
+            rows = [{"n": data["n"], "S": data["ranks"], **data["multiplicities"]}]
+        elif "symfunc" in data:
+            rows = data["symfunc"]["terms"]
+        elif "betti" in data:
+            rows = [{"degree": d, "betti": data["betti"][d], "torsion": data["torsion"].get(d, [])}
+                    for d in sorted(data["betti"], key=int)]
+        else:
+            rows = data.get("rows")
+        if rows is not None:
             return _render_rows_tsv(rows)
         return json.dumps(data, sort_keys=True) + "\n"
     # pretty
@@ -243,10 +229,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in UNREAD.get((args.command, getattr(args, "family", None)), ()):
-            if getattr(args, name) is not None:
+        for name in ("n", "k", "ranks", "max_n") if args.command in FAMILIES else ():
+            given = getattr(args, name, None) is not None
+            if given != (name in FAMILIES[args.command][args.family]):
                 option = "--" + name.replace("_", "-")
-                raise ValueError(f"{args.command} --family {args.family} does not read {option}")
+                verb = "does not read" if given else "needs"
+                raise ValueError(f"{args.command} --family {args.family} {verb} {option}")
         if args.out:
             _check_out(args.out)
         cache_dir = None if args.no_cache else args.cache_dir or cache.default_cache_dir()

@@ -1,5 +1,7 @@
 """Result assembly of the command-line front end: one function per command
-that checks the request, computes it and returns its cacheable payload dict.
+that checks the values of the request, computes it and returns its
+cacheable payload dict.  Which options a family reads, and so needs, is
+checked before this module runs, against :data:`parthom.cli.FAMILIES`.
 A module is class values until :func:`parthom.symfunc.expansion` reads it
 out to print; no command builds a ``SymFunc``.
 
@@ -37,14 +39,10 @@ def _result_sf(args) -> dict:
     if args.family == "lie":
         values = reps.lie_character(args.n)
     elif args.family == "whitehouse":
-        if args.k is None:
-            raise ValueError("whitehouse needs --k")
         values = reps.whitehouse_module(args.n, args.k)
     elif args.family == "reven":
         values = reps.even_block_characteristic(args.n)
     else:
-        if args.k is None:
-            raise ValueError("hook needs --k")
         values = reps.hook_character(args.n, args.k)
     return _symfunc_payload(degree, values, args.basis)
 
@@ -83,8 +81,6 @@ def _result_homology(args) -> dict:
 
 def _result_table(args) -> dict:
     if args.family == "bS":
-        if args.n is None:
-            raise ValueError("table --family bS needs --n")
         if args.n < 2:
             raise ValueError(f"table --family bS needs a ground size --n >= 2, got {args.n}")
         columns = ("a_S", "a'_S", "b_S", "b'_S")
@@ -94,8 +90,6 @@ def _result_table(args) -> dict:
         ]
         return {"family": "bS", "n": args.n, "rows": rows}
     limit = args.max_n
-    if limit is None:
-        raise ValueError(f"table --family {args.family} needs --max-n")
     if args.family == "euler":
         refuse_past("euler_max_n", limit)
         rows = [{"n": n, "E_n": reps.euler_number(n)} for n in range(limit + 1)]
@@ -136,11 +130,7 @@ def _result_check(args) -> dict:
 
 def _result_report(args) -> dict:
     if args.family == "stability":
-        if not args.ranks or args.k is None or args.max_n is None:
-            raise ValueError("stability report needs --ranks, --k and --max-n")
         return checks.stability_report(parse_rank_set(args.ranks), args.k, args.max_n)
-    if args.n is None or args.k is None:
-        raise ValueError("subposet report needs --n and --k")
     refuse_ground(args.n)
     return checks.subposet_homology_report(args.family, args.n, args.k)
 

@@ -32,16 +32,15 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations, groupby, product
 from math import comb, factorial, perm
 from operator import mul, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import poset, symfunc
 from .chartable import character
 from .errors import CHAIN_REFUSAL, ModuleCheckError, rank_set, refuse_past
 from .partitions import check_partition, partitions_of, zee
 
-if TYPE_CHECKING:
-    from .symfunc import SymFunc
 
-def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
+def chain_characteristic(n: int, ranks, method: str = "recurrence") -> symfunc.SymFunc:
     """Frobenius characteristic of the symmetric group action on the maximal
     chains of the rank-selected subposet (the alpha module of the rank set).
 
@@ -50,7 +49,7 @@ def chain_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
     return characteristic(n, class_values(n, ranks, method=method))
 
 
-def homology_characteristic(n: int, ranks, method: str = "recurrence") -> SymFunc:
+def homology_characteristic(n: int, ranks, method: str = "recurrence") -> symfunc.SymFunc:
     """Frobenius characteristic of the action on the top homology of the
     rank-selected subposet (the beta module of the rank set)."""
     return characteristic(n, class_values(n, ranks, homology=True, method=method))
@@ -102,21 +101,17 @@ def rank_subsets(ranks):
 def _fixed_chain_values(n: int, ranks: tuple[int, ...]) -> tuple[int, ...]:
     """Class values of the alpha module by the chain method: the maximal
     chains of the rank-selected view fixed by each cycle type."""
-    # imported here, so that only the chain method loads the poset modules
-    from .poset import fixed_chain_count, rank_selected_view
-
-    view = rank_selected_view(n, ranks)
-    return tuple(fixed_chain_count(view, mu) for mu in partitions_of(n))
+    view = poset.rank_selected_view(n, ranks)
+    return tuple(poset.fixed_chain_count(view, mu) for mu in partitions_of(n))
 
 
-def characteristic(n: int, values) -> SymFunc:
+def characteristic(n: int, values) -> symfunc.SymFunc:
     """Frobenius characteristic of integer class values over
     ``partitions_of(n)``: the sum of values[mu] p_mu / z_mu."""
     from fractions import Fraction
 
-    from .symfunc import SymFunc
-
-    return SymFunc({mu: Fraction(v, zee(mu)) for mu, v in zip(partitions_of(n), values) if v})
+    return symfunc.SymFunc({mu: Fraction(v, zee(mu))
+                            for mu, v in zip(partitions_of(n), values) if v})
 
 
 def restriction(n: int, values) -> tuple[int, ...]:

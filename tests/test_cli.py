@@ -725,6 +725,35 @@ def test_an_option_the_family_never_reads_exit_2(capsys, monkeypatch, argv, opti
     assert captured.err == f"error: {command} --family {family} does not read {option}\n"
 
 
+@pytest.mark.parametrize("argv, option", [
+    ("sf --family whitehouse --n 5", "--k"),
+    ("sf --family hook --n 5", "--k"),
+    ("table --family bS", "--n"),
+    ("table --family euler", "--max-n"),
+    ("table --family simsun", "--max-n"),
+    ("table --family bi", "--max-n"),
+    ("table --family ek", "--max-n"),
+    ("report --family qnk --k 3", "--n"),
+    ("report --family pnk --n 5", "--k"),
+    ("report --family le --k 2", "--n"),
+    ("report --family ne --n 5", "--k"),
+    ("report --family stability --k 1 --max-n 6", "--ranks"),
+    ("report --family stability --ranks 2 --max-n 6", "--k"),
+    ("report --family stability --ranks 2 --k 1", "--max-n"),
+])
+def test_an_option_the_family_needs_left_out_exit_2(tmp_path, capsys, monkeypatch, argv, option):
+    # refused before the cache is consulted: no entry is read and no result assembled
+    import parthom.commands as commands
+
+    monkeypatch.setattr(commands, "RESULTS", {})
+    monkeypatch.setattr(cache, "load", lambda *args: pytest.fail("cache consulted"))
+    code = main([*argv.split(), "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    command, _, family = argv.split()[:3]
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {command} --family {family} needs {option}\n"
+
+
 def test_the_options_the_benchmark_passes_are_still_accepted(tmp_path, capsys):
     code, out = run(capsys, "table", "--family", "bS", "--n", "4", "--jobs", "2",
                     "--cache-dir", str(tmp_path), "--format", "tsv")

@@ -178,3 +178,14 @@ def test_a_table_refused_by_its_max_n_loads_no_library_module():
 def test_a_report_refused_by_its_ground_size_loads_no_library_module():
     code, modules, _ = probe("report", "--family", "qnk", "--n", "11", "--k", "3", "--no-cache")
     assert code == 2 and executed(modules) == MISS
+
+
+@pytest.mark.parametrize("argv", [
+    "sf --family whitehouse --n 5",
+    "table --family bS",
+    "report --family stability --ranks 2 --k 1",
+])
+def test_a_request_missing_an_option_executes_only_the_entry_point(argv):
+    # refused by the family table in cli, before the cache and the result assembly
+    code, modules, _ = probe(*argv.split(), "--no-cache")
+    assert code == 2 and executed(modules) == START
