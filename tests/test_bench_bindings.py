@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -67,16 +69,16 @@ def test_traced_sf_run_records_the_conversion_spans(tmp_path):
     assert "reps.whitehouse_module" in names
 
 
-def test_traced_subposet_report_records_the_report_and_topology_spans(tmp_path):
-    # checks names the topology functions through their module at call time,
-    # so the tracer's rebinding reaches them
-    args = ["report", "--family", "qnk", "--n", "5", "--k", "3", "--no-cache"]
-    names = {span["name"] for span in traced_and_plain(tmp_path, args)}
-    assert {"checks.subposet_homology_report", "topology.homology",
-            "topology.lefschetz"} <= names
 
-
-def test_traced_chain_method_run_records_the_fixed_chain_spans(tmp_path):
-    args = ["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains", "--no-cache"]
-    names = {span["name"] for span in traced_and_plain(tmp_path, args)}
-    assert "poset.fixed_chain_count" in names
+@pytest.mark.parametrize("args, expected", [
+    (["report", "--family", "qnk", "--n", "5", "--k", "3"],
+     {"checks.subposet_homology_report", "topology.homology", "topology.lefschetz"}),
+    (["alpha", "--n", "5", "--ranks", "1,2", "--method", "chains"],
+     {"poset.fixed_chain_count"}),
+])
+def test_traced_library_calls_through_checks_and_reps_record_their_spans(
+        tmp_path, args, expected):
+    # checks and reps name these functions through their modules at call
+    # time, so the tracer's rebinding reaches them
+    spans = traced_and_plain(tmp_path, [*args, "--no-cache"])
+    assert expected <= {span["name"] for span in spans}
